@@ -100,10 +100,19 @@ class MachineConfig:
         # Validate through the scheme registry (lazy import: the scheme
         # descriptors import this module's constants). Registered
         # third-party schemes validate too, not just the builtin tuples.
+        from ..mem.layout import BLOCK_SIZE
         from ..schemes import encryption_scheme, integrity_scheme
 
         encryption_scheme(self.encryption)
         integrity_scheme(self.integrity)
+        if self.block_size != BLOCK_SIZE:
+            # The metadata layout, the functional memory and the timing
+            # engines' victim addresses are all fixed at 64B blocks; any
+            # other size would give answers that depend on the engine.
+            raise ConfigurationError(
+                f"block_size must be {BLOCK_SIZE} (the metadata layout is "
+                f"fixed at {BLOCK_SIZE}B blocks), got {self.block_size}"
+            )
         if self.mac_bits % 8 or self.mac_bits <= 0:
             raise ConfigurationError(f"mac_bits must be a positive multiple of 8, got {self.mac_bits}")
         if self.block_size % (self.mac_bits // 8):

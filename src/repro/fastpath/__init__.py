@@ -73,7 +73,7 @@ class EngineTelemetry:
     """
 
     __slots__ = ("compiled", "per_event", "reference", "fallbacks",
-                 "lowering_hits", "lowering_misses",
+                 "lowering_hits", "lowering_misses", "lowering_staged",
                  "last_engine", "last_reason")
 
     def __init__(self):
@@ -84,6 +84,9 @@ class EngineTelemetry:
         self.fallbacks: dict[str, int] = {}
         self.lowering_hits = 0
         self.lowering_misses = 0
+        # Lowerings built by the set-parallel staged route (the rest of
+        # the misses took the sequential walk).
+        self.lowering_staged = 0
         self.last_engine: str | None = None
         self.last_reason: str | None = None
 
@@ -108,6 +111,10 @@ class EngineTelemetry:
             self.lowering_hits += 1
         else:
             self.lowering_misses += 1
+
+    def record_staged_lowering(self) -> None:
+        """One lowering built by the staged route (see ``lower``)."""
+        self.lowering_staged += 1
 
     @property
     def runs(self) -> int:

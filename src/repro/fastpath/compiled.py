@@ -23,6 +23,19 @@ the owners' batch-credit APIs. Results are byte-identical to the
 reference loop — the committed figure-6 golden and the equivalence
 property tests pin this.
 
+:func:`lower` takes one of two routes to the same artifact. When the L2
+holds only demand data (the scheme walks no tree and caches no data
+MACs: :func:`l2_holds_only_data`), its sets never interact, so
+:func:`lower_staged` simulates them set-parallel with NumPy — stage 1
+steps every L2 set in lockstep (memoized per trace and shared by every
+such scheme, whose L2 demand streams are identical), stage 2 runs the
+counter cache over the stream the misses derive, and the artifact is
+assembled with array operations. Tree walks and cached data MACs put
+metadata in the L2, so misses in one set evict lines in others and the
+sets feed back into each other; those schemes take
+:func:`lower_sequential`, the pure-Python walk that stays the reference
+the staged route is tested against.
+
 The lowering is memoized on the :class:`~repro.sim.trace.Trace` keyed
 by the traffic-shaping geometry, so it is paid once and replayed by
 every run that shares it: repeated runs of one cell, golden
@@ -38,6 +51,7 @@ runtime sanitizer is armed.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import repeat
 
 import numpy as np
 
@@ -81,6 +95,15 @@ _CA, _CM = 9, 10
 _N_META = 11
 
 _MEMO_CAPACITY = 2  # lowerings kept per Trace (sweeps replay one)
+
+# The staged route's L2-stage memo, an attribute of the Trace it lowers.
+L2_STAGE_MEMO = "_l2_stage"
+
+# Outcome bits of a staged miss: its counter read missed / evicted a
+# dirty counter block; its L2 victim was dirty, and that victim's counter
+# write missed / evicted a dirty counter block.
+_S_CC_MISS, _S_CC_WB, _S_L2_WB, _S_WB_CC_MISS, _S_WB_CC_WB = 1, 2, 4, 8, 16
+_S_CODES = 32
 
 
 def classification_key(sim, sample_period: int) -> tuple:
@@ -223,6 +246,22 @@ class CompiledTrace:
 
 def lower(sim, trace, sample_period: int) -> CompiledTrace:
     """Run the cache state machine once and record its behaviour.
+
+    The single entry point: schemes whose L2 holds only demand data take
+    the set-parallel :func:`lower_staged` route (counted once per
+    lowering in ``EngineTelemetry.lowering_staged``); every other scheme
+    takes :func:`lower_sequential`. Both build the same artifact.
+    """
+    if l2_holds_only_data(sim):
+        telemetry = getattr(sim, "engine_telemetry", None)
+        if telemetry is not None:
+            telemetry.record_staged_lowering()
+        return lower_staged(sim, trace, sample_period)
+    return lower_sequential(sim, trace, sample_period)
+
+
+def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
+    """The reference lowering: one pure-Python walk over the events.
 
     The state transitions transliterate the per-event engine's inlined
     miss path (`repro.fastpath.engine._make_miss_engine`) — which itself
@@ -497,6 +536,271 @@ def lower(sim, trace, sample_period: int) -> CompiledTrace:
         final_cc=(tuple(tuple(s.items()) for s in cc_sets), dict(cc_classes)),
         final_node=(None if node_cache is None else
                     (tuple(tuple(s.items()) for s in t_sets), dict(t_classes))),
+    )
+
+
+def l2_holds_only_data(sim) -> bool:
+    """Whether ``sim``'s L2 only ever holds demand data lines.
+
+    True unless the scheme walks a tree or caches data MACs in the L2.
+    Without metadata in it, an L2 access interacts only with earlier
+    accesses to the same set, and the L2's behaviour is the same for
+    every such scheme — the two facts :func:`lower_staged` is built on.
+    (A tree in a dedicated node cache still leaves the L2 to data, but
+    its walks interleave with the counter cache's writebacks, so tree
+    schemes stay sequential either way.)
+    """
+    return not sim._walks_tree and not (sim._uses_data_macs
+                                        and sim._cache_data_macs)
+
+
+def _lru_lockstep(sets, blocks, writes, num_sets: int, assoc: int):
+    """Simulate a write-back LRU cache over one access stream, set-parallel.
+
+    Accesses are grouped by set (stably, so each set sees its own
+    accesses in stream order); step *k* then handles the *k*-th access
+    of every set at once over ``(sets, ways)`` arrays of tag, last-use
+    stamp and dirty bit. Returns per-access ``hit``, ``victim`` (the
+    evicted block, -1 when none) and ``victim_dirty`` arrays, plus the
+    final ``(tags, stamps, dirty)`` state.
+    """
+    n = len(blocks)
+    counts = np.bincount(sets, minlength=num_sets)
+    by_set = np.argsort(sets, kind="stable")
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(n, dtype=np.int64) - starts[sets[by_set]]
+    schedule = by_set[np.argsort(rank, kind="stable")]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rank)))).tolist()
+
+    lanes = sets[schedule]
+    lane_base = lanes * assoc
+    lane_block = blocks[schedule]
+    lane_write = writes[schedule]
+    tags = np.full((num_sets, assoc), -1, dtype=np.int64)
+    stamps = np.full((num_sets, assoc), -1, dtype=np.int64)
+    dirty = np.zeros((num_sets, assoc), dtype=bool)
+    flat_tags = tags.reshape(-1)
+    flat_stamps = stamps.reshape(-1)
+    flat_dirty = dirty.reshape(-1)
+    hit = np.empty(n, dtype=bool)
+    victim = np.empty(n, dtype=np.int64)
+    victim_dirty = np.empty(n, dtype=bool)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = lanes[lo:hi]
+        block = lane_block[lo:hi]
+        # The matching way if any (stamp forced below every real one),
+        # else the least recently used — empty ways first (stamp -1).
+        age = stamps[rows]
+        age[tags[rows] == block[:, None]] = -2
+        slot = lane_base[lo:hi] + age.argmin(axis=1)
+        old = flat_tags[slot]
+        was_dirty = flat_dirty[slot]
+        h = old == block
+        hit[lo:hi] = h
+        victim[lo:hi] = old
+        victim_dirty[lo:hi] = was_dirty & ~h
+        flat_tags[slot] = block
+        flat_stamps[slot] = schedule[lo:hi]
+        flat_dirty[slot] = (was_dirty & h) | lane_write[lo:hi]
+    out_hit = np.empty(n, dtype=bool)
+    out_hit[schedule] = hit
+    out_victim = np.empty(n, dtype=np.int64)
+    out_victim[schedule] = np.where(hit, -1, victim)
+    out_dirty = np.empty(n, dtype=bool)
+    out_dirty[schedule] = victim_dirty
+    return out_hit, out_victim, out_dirty, (tags, stamps, dirty)
+
+
+def _lru_contents(state):
+    """Compact final contents: per-set line counts, then every valid
+    line's block and dirty bit, set by set, least recently used first."""
+    tags, stamps, dirty = state
+    order = np.argsort(stamps, axis=1)
+    stamps = np.take_along_axis(stamps, order, axis=1)
+    valid = stamps >= 0
+    return (valid.sum(axis=1), np.take_along_axis(tags, order, axis=1)[valid],
+            np.take_along_axis(dirty, order, axis=1)[valid])
+
+
+def _restorable(contents, line_class):
+    """A ``restore_state`` snapshot (what ``lower_sequential`` records)
+    from :func:`_lru_contents` output; every line is of ``line_class``."""
+    per_set, blocks, dirty = contents
+    lines = list(zip(blocks.tolist(),
+                     zip(dirty.tolist(), repeat(line_class))))
+    ends = np.cumsum(per_set).tolist()
+    sets = tuple(tuple(lines[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    total = len(lines)
+    return sets, ({line_class: total} if total else {})
+
+
+class L2Stage:
+    """Stage 1 of the staged lowering: the demand-only L2 over one trace.
+
+    Per-miss arrays only (plus the final contents), so the memo stays
+    small next to the trace it rides on: the event index of every miss,
+    whether its victim was dirty, and the dirty victims' blocks.
+    """
+
+    __slots__ = ("miss_events", "victim_dirty", "dirty_victims", "contents")
+
+    def __init__(self, miss_events, victim_dirty, dirty_victims, contents):
+        self.miss_events = miss_events
+        self.victim_dirty = victim_dirty
+        self.dirty_victims = dirty_victims
+        self.contents = contents
+
+
+def l2_stage(sim, trace) -> L2Stage:
+    """The memoized L2 stage of ``trace`` for ``sim``'s L2 geometry.
+
+    Every scheme that keeps no metadata in the L2 sees the same L2
+    demand stream, so this is shared by all of them; like the lowering
+    memo it lives on the trace and is dropped on pickling.
+    """
+    l2 = sim.l2
+    key = (l2.num_sets, l2.assoc)
+    memo = trace.__dict__.setdefault(L2_STAGE_MEMO, {})
+    stage = memo.get(key)
+    if stage is None:
+        blocks = (trace.addresses // BLOCK_SIZE).astype(np.int64)
+        writes = np.asarray(trace.ops) == 1
+        hit, victim, victim_dirty, state = _lru_lockstep(
+            blocks % l2.num_sets, blocks, writes, l2.num_sets, l2.assoc)
+        miss = ~hit
+        victim_dirty = victim_dirty[miss]
+        stage = L2Stage(
+            miss_events=np.flatnonzero(miss),
+            victim_dirty=victim_dirty,
+            dirty_victims=victim[miss][victim_dirty],
+            contents=_lru_contents(state),
+        )
+        while len(memo) >= _MEMO_CAPACITY:
+            memo.pop(next(iter(memo)))
+        memo[key] = stage
+    return stage
+
+
+def _pattern(code: int, mac_reads: bool) -> tuple:
+    """The transfer pattern of a staged miss's outcome ``code`` — the
+    order ``lower_sequential`` appends kinds in for the same outcome."""
+    kinds = []
+    if code & _S_CC_MISS:
+        kinds.append(K_COUNTER)
+    if code & _S_CC_WB:
+        kinds.append(K_COUNTER_WB)
+    if mac_reads:
+        kinds.append(K_MAC_FRAC)
+    if code & _S_L2_WB:
+        kinds.append(K_DATA_WB)
+        if code & _S_WB_CC_MISS:
+            kinds.append(K_COUNTER)
+        if code & _S_WB_CC_WB:
+            kinds.append(K_COUNTER_WB)
+        if mac_reads:
+            kinds.append(K_MAC_WB)
+    return tuple(kinds)
+
+
+def lower_staged(sim, trace, sample_period: int) -> CompiledTrace:
+    """The lowering for schemes whose L2 holds only demand data.
+
+    Stage 1 (:func:`l2_stage`, memoized per trace) runs the L2. Stage 2
+    runs the counter cache over the stream the misses derive: for each
+    miss a demand read of its counter block, then a write for its dirty
+    victim's. Both use the set-parallel kernel; the artifact is then
+    assembled with array operations, equal slot for slot to what
+    :func:`lower_sequential` records.
+    """
+    if not l2_holds_only_data(sim):
+        raise ValueError("the staged lowering needs an L2 without metadata")
+    n = len(trace)
+    bs = BLOCK_SIZE
+    stage = l2_stage(sim, trace)
+    miss_events = stage.miss_events
+    l2_wb = stage.victim_dirty
+    m = len(miss_events)
+    mac_reads = bool(sim._uses_data_macs)
+
+    counter_cache = sim.counter_cache
+    cc_nsets = counter_cache.num_sets
+    cc_read_miss = np.zeros(m, dtype=bool)
+    cc_read_wb = np.zeros(m, dtype=bool)
+    wb_cc_miss = np.zeros(m, dtype=bool)
+    wb_cc_wb = np.zeros(m, dtype=bool)
+    final_cc = (((),) * cc_nsets, {})
+    if sim.uses_counter_cache:
+        ctr_base = sim._ctr_base
+        cb_span = sim._cb_span
+        miss_addrs = (trace.addresses[miss_events] // bs).astype(np.int64) * bs
+        victim_addrs = stage.dirty_victims * bs
+        # The derived stream: each miss's read, then its dirty victim's write.
+        per_miss = 1 + l2_wb.astype(np.int64)
+        read_at = np.cumsum(per_miss) - per_miss
+        write_at = read_at[l2_wb] + 1
+        stream = np.empty(m + len(write_at), dtype=np.int64)
+        stream[read_at] = (ctr_base + (miss_addrs // cb_span) * bs) // bs
+        stream[write_at] = (ctr_base + (victim_addrs // cb_span) * bs) // bs
+        is_write = np.zeros(len(stream), dtype=bool)
+        is_write[write_at] = True
+        hit, _, victim_dirty, state = _lru_lockstep(
+            stream % cc_nsets, stream, is_write, cc_nsets, counter_cache.assoc)
+        cc_read_miss = ~hit[read_at]
+        cc_read_wb = victim_dirty[read_at]
+        wb_cc_miss[l2_wb] = ~hit[write_at]
+        wb_cc_wb[l2_wb] = victim_dirty[write_at]
+        final_cc = _restorable(_lru_contents(state), COUNTER)
+
+    codes = (cc_read_miss * _S_CC_MISS | cc_read_wb * _S_CC_WB
+             | l2_wb * _S_L2_WB | wb_cc_miss * _S_WB_CC_MISS
+             | wb_cc_wb * _S_WB_CC_WB)
+    seen, first = np.unique(codes, return_index=True)
+    in_order = seen[np.argsort(first)]
+    intern = np.zeros(_S_CODES, dtype=np.int64)
+    intern[in_order] = np.arange(len(in_order))
+
+    cc_misses = cc_read_miss.astype(np.int64) + wb_cc_miss
+    cc_wbs = cc_read_wb.astype(np.int64) + wb_cc_wb
+    wb = l2_wb.astype(np.int64)
+    kcounts = np.zeros((m, _N_KINDS), dtype=np.int64)
+    kcounts[:, K_DATA] = 1
+    kcounts[:, K_COUNTER] = cc_misses
+    kcounts[:, K_COUNTER_WB] = cc_wbs
+    kcounts[:, K_DATA_WB] = wb
+    if mac_reads:
+        kcounts[:, K_MAC_FRAC] = 1
+        kcounts[:, K_MAC_WB] = wb
+    metas = np.zeros((m, _N_META), dtype=np.int64)
+    metas[:, _L2WB] = wb
+    if sim.uses_counter_cache:
+        accesses = 1 + wb
+        metas[:, _CA] = accesses
+        metas[:, _CCH] = accesses - cc_misses
+        metas[:, _CCM] = cc_misses
+        metas[:, _CM] = cc_misses
+        metas[:, _CCWB] = cc_wbs
+
+    flags = np.zeros(n, dtype=np.int64)
+    flags[miss_events] = 1
+    node_cache = sim.node_cache
+    ticks = np.zeros((n // sample_period, 5), dtype=np.int64)
+    ticks[:, 0] = sim.l2.num_lines  # data lines plus free ones, always
+    return CompiledTrace(
+        n=n,
+        miss_flags=flags.tolist(),
+        miss_cum=np.cumsum(flags),
+        pattern_list=[_pattern(code, mac_reads) for code in in_order.tolist()],
+        pat_idx=intern[codes].tolist(),
+        cc_stalls=cc_read_miss.astype(np.int64).tolist(),
+        iflags=[1 if mac_reads else 0] * m,
+        kcounts=kcounts,
+        metas=metas,
+        ticks=ticks,
+        gaps=trace.gaps,
+        final_l2=_restorable(stage.contents, DATA),
+        final_cc=final_cc,
+        final_node=(None if node_cache is None else
+                    (((),) * node_cache.num_sets, {})),
     )
 
 

@@ -101,6 +101,7 @@ def register_engine_telemetry(registry, sim, prefix: str = "engine"):
     memo = scope.scoped("lowering_memo")
     memo.bind("hits", lambda: sim.engine_telemetry.lowering_hits)
     memo.bind("misses", lambda: sim.engine_telemetry.lowering_misses)
+    memo.bind("staged", lambda: sim.engine_telemetry.lowering_staged)
     memo.bind("hit_rate", lambda: sim.engine_telemetry.lowering_hit_rate)
     return scope
 

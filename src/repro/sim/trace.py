@@ -114,6 +114,7 @@ class Trace:
         state = dict(self.__dict__)
         state.pop("_decoded", None)
         state.pop("_compiled", None)  # lowerings rebuild cheaply in-process
+        state.pop("_l2_stage", None)  # and so does the staged lowering's L2
         return state
 
     def aligned(self) -> "Trace":

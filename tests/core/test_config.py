@@ -54,6 +54,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MachineConfig(mac_bits=192)  # 24B does not divide 64B
 
+    @pytest.mark.parametrize("size", [32, 128, 0])
+    def test_rejects_block_size_other_than_64(self, size):
+        # The metadata layout and the engines' victim addresses are fixed
+        # at 64B: any other size made results depend on the engine.
+        with pytest.raises(ConfigurationError, match="block_size"):
+            MachineConfig(block_size=size)
+
+    def test_accepts_the_64_byte_block(self):
+        assert MachineConfig(block_size=64).block_size == 64
+
 
 class TestDerived:
     @pytest.mark.parametrize("bits,arity", [(32, 16), (64, 8), (128, 4), (256, 2)])

@@ -66,6 +66,14 @@ class TestEngineTelemetryObject:
         assert t.lowering_hit_rate == 0.5
 
 
+    def test_staged_lowerings_counted_apart_from_the_memo(self):
+        t = EngineTelemetry()
+        assert t.lowering_staged == 0
+        t.record_staged_lowering()
+        assert t.lowering_staged == 1
+        assert t.lowering_hits + t.lowering_misses == 0
+
+
 class TestRunAttribution:
     def test_cold_run_uses_compiled_no_reason(self):
         sim = fresh_sim()
@@ -148,6 +156,36 @@ class TestLoweringMemo:
         assert t.lowering_hit_rate == 1.0
 
 
+class TestStagedLowering:
+    """``lowering_staged`` says how each lowering was built: once per
+    lowering on the staged route, never per event, never on a memo hit."""
+
+    def test_staged_route_counted_once_per_lowering(self):
+        trace = resident_trace(3000)
+        sim = TimingSimulator(config_named("aise"))
+        sim.run(trace, label="aise")
+        assert sim.engine_telemetry.lowering_misses == 1
+        assert sim.engine_telemetry.lowering_staged == 1
+        again = TimingSimulator(config_named("aise"))
+        again.run(trace, label="aise")  # memo hit: nothing is lowered
+        assert again.engine_telemetry.lowering_hits == 1
+        assert again.engine_telemetry.lowering_staged == 0
+
+    def test_tree_schemes_lower_sequentially(self):
+        sim = fresh_sim()
+        sim.run(resident_trace(3000), label="aise+bmt")
+        assert sim.engine_telemetry.lowering_misses == 1
+        assert sim.engine_telemetry.lowering_staged == 0
+
+    def test_gauge_exposed_and_kept_out_of_results(self):
+        sim = TimingSimulator(config_named("base"))
+        result = sim.run(resident_trace(3000), label="base",
+                         collect_metrics=True)
+        assert sim.registry.snapshot()["engine.lowering_memo.staged"] == 1
+        assert result.metrics
+        assert not any(name.startswith("engine.") for name in result.metrics)
+
+
 class TestRegistryExposure:
     def test_snapshot_carries_engine_metrics(self):
         sim = fresh_sim()
@@ -158,6 +196,7 @@ class TestRegistryExposure:
         assert snap["engine.runs.reference"] == 0
         assert snap["engine.fallback_reasons"] == {}
         assert snap["engine.lowering_memo.misses"] + snap["engine.lowering_memo.hits"] == 1
+        assert snap["engine.lowering_memo.staged"] == 0  # aise+bmt walks a tree
         assert 0.0 <= snap["engine.lowering_memo.hit_rate"] <= 1.0
 
     def test_telemetry_survives_warmup_stats_reset(self):

@@ -9,19 +9,28 @@ left behind. These tests pin that contract across the registered scheme
 cross-product on a randomized trace, at the warmup edge cases, through
 warm reuse (where the compiled path must bow out), and under the armed
 sanitizer; plus the security half — tampering still raises with the
-compiled gate forced on.
+compiled gate forced on. The staged (set-parallel) lowering is pinned
+slot for slot against the sequential one it replaces for schemes whose
+L2 holds only demand data.
 """
 
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import fastpath, schemes
 from repro.core import IntegrityError, sanitizer
-from repro.core.config import PRESET_NAMES, MachineConfig
+from repro.core.config import PRESET_NAMES, CacheConfig, MachineConfig
 from repro.core.errors import ConfigurationError
-from repro.sim.simulator import TimingSimulator
+from repro.fastpath import compiled
+from repro.mem.layout import BLOCK_SIZE
+from repro.sim.simulator import _OCCUPANCY_SAMPLE_PERIOD, TimingSimulator
+from repro.sim.trace import Trace
+from repro.workloads.spec2k import spec_trace
 from repro.workloads.synthetic import WorkloadProfile, generate_trace
 from tests.conftest import make_machine
 
@@ -167,9 +176,148 @@ class TestEdges:
         trace = random_trace(events=600, seed=17)
         run_compiled(MachineConfig.preset("aise"), trace)
         assert "_compiled" in trace.__dict__
+        assert compiled.L2_STAGE_MEMO in trace.__dict__  # aise lowers staged
         clone = pickle.loads(pickle.dumps(trace))
         assert "_compiled" not in clone.__dict__
+        assert compiled.L2_STAGE_MEMO not in clone.__dict__
         assert clone.digest() == trace.digest()
+
+
+# -- the staged lowering -------------------------------------------------------
+
+STAGED_PRESETS = ("base", "aise", "global32", "global64")
+
+# Small caches make deep sets and counter-cache evictions cheap to reach.
+_SMALL = {"l2": CacheConfig(8 * KB, 4, 10),
+          "counter_cache": CacheConfig(2 * KB, 4, 10)}
+
+
+def assert_same_lowering(staged, sequential):
+    """Every slot of two lowerings equal, arrays in dtype and shape too."""
+    for slot in compiled.CompiledTrace.__slots__:
+        if slot.startswith("_"):
+            continue
+        a, b = getattr(staged, slot), getattr(sequential, slot)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), slot
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), slot
+            assert np.array_equal(a, b), slot
+        else:
+            assert type(a) is type(b), slot
+            assert a == b, slot
+
+
+def both_lowerings(config, trace, sample_period=_OCCUPANCY_SAMPLE_PERIOD):
+    sim = TimingSimulator(config)
+    assert compiled.l2_holds_only_data(sim)
+    return (compiled.lower_staged(sim, trace, sample_period),
+            compiled.lower_sequential(TimingSimulator(config), trace,
+                                      sample_period))
+
+
+def staged_configs(**overrides):
+    """Every registered encryption scheme with no integrity scheme."""
+    for enc in schemes.encryption_keys():
+        try:
+            yield MachineConfig(encryption=enc, integrity="none", **overrides)
+        except ConfigurationError:
+            continue
+
+
+def make_trace(blocks, ops, gaps=None) -> Trace:
+    n = len(blocks)
+    return Trace(
+        gaps=np.asarray(gaps if gaps is not None else [3] * n, dtype=np.uint32),
+        ops=np.asarray(ops, dtype=np.uint8),
+        addresses=np.asarray(blocks, dtype=np.uint64) * BLOCK_SIZE,
+        name="edge",
+    )
+
+
+@st.composite
+def small_traces(draw):
+    n = draw(st.integers(1, 400))
+    # A narrow block range crowds the sets; a wide one spreads them.
+    span = draw(st.sampled_from([16, 256, 4096, 1 << 20]))
+    blocks = draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+    ops = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    return make_trace(blocks, ops, gaps)
+
+
+class TestStagedLowering:
+    @settings(max_examples=40, deadline=None)
+    @given(trace=small_traces(), small=st.booleans(),
+           sample_period=st.sampled_from([1, 7, 64]))
+    def test_staged_equals_sequential_on_generated_traces(
+            self, trace, small, sample_period):
+        """Every registry encryption key with no integrity scheme."""
+        overrides = _SMALL if small else {}
+        checked = 0
+        for config in staged_configs(**overrides):
+            staged, sequential = both_lowerings(config, trace, sample_period)
+            assert_same_lowering(staged, sequential)
+            checked += 1
+        assert checked >= len(STAGED_PRESETS)
+
+    def test_one_set_hammered(self):
+        """The deepest lockstep: every access lands in L2 set 0."""
+        sets = TimingSimulator(MachineConfig.preset("aise")).l2.num_sets
+        rng = np.random.default_rng(1)
+        blocks = rng.integers(0, 40, 3000) * sets
+        ops = rng.integers(0, 2, 3000)
+        trace = make_trace(blocks, ops)
+        for preset in STAGED_PRESETS:
+            staged, sequential = both_lowerings(MachineConfig.preset(preset),
+                                                trace)
+            assert_same_lowering(staged, sequential)
+
+    def test_all_writes_chain_dirty_victims_into_the_counter_stage(self):
+        rng = np.random.default_rng(2)
+        trace = make_trace(rng.integers(0, 1 << 16, 4000), [1] * 4000)
+        for config in staged_configs(**_SMALL):
+            staged, sequential = both_lowerings(config, trace)
+            assert_same_lowering(staged, sequential)
+            assert int(staged.metas[:, compiled._L2WB].sum()) > 0
+
+    @pytest.mark.parametrize("events", [10, 5 * _OCCUPANCY_SAMPLE_PERIOD + 17])
+    def test_partial_sample_periods(self, events):
+        trace = random_trace(events=events, seed=23)
+        for preset in STAGED_PRESETS:
+            staged, sequential = both_lowerings(MachineConfig.preset(preset),
+                                                trace)
+            assert_same_lowering(staged, sequential)
+            assert len(staged.ticks) == events // _OCCUPANCY_SAMPLE_PERIOD
+
+    @pytest.mark.parametrize("bench", ["mcf", "gcc", "eon", "art", "swim"])
+    def test_spec_profiles(self, bench):
+        trace = spec_trace(bench, 30_000)
+        for preset in STAGED_PRESETS:
+            staged, sequential = both_lowerings(MachineConfig.preset(preset),
+                                                trace)
+            assert_same_lowering(staged, sequential)
+
+    def test_eligibility_follows_the_scheme_flags(self):
+        eligible = {p for p in PRESET_NAMES
+                    if compiled.l2_holds_only_data(
+                        TimingSimulator(MachineConfig.preset(p)))}
+        assert eligible == set(STAGED_PRESETS)
+        # Uncached data MACs never touch the L2; cached ones do.
+        assert compiled.l2_holds_only_data(
+            TimingSimulator(MachineConfig.preset("aise+mac_only")))
+        cached = TimingSimulator(MachineConfig.preset(
+            "aise+mac_only", cache_data_macs=True))
+        assert not compiled.l2_holds_only_data(cached)
+        with pytest.raises(ValueError):
+            compiled.lower_staged(cached, random_trace(200), 64)
+
+    def test_the_l2_stage_is_shared_across_eligible_schemes(self):
+        trace = random_trace(events=1500, seed=29)
+        for preset in STAGED_PRESETS + ("aise+mac_only",):
+            run_compiled(MachineConfig.preset(preset), trace)
+        assert len(trace.__dict__[compiled.L2_STAGE_MEMO]) == 1
+        run_compiled(MachineConfig.preset("aise+bmt"), trace)  # sequential
+        assert len(trace.__dict__[compiled.L2_STAGE_MEMO]) == 1
 
 
 class TestSecurityPath:
