@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Merkle engine benchmark: eager vs incremental trees, sparse touches.
+"""Merkle tree benchmark: eager vs incremental policies, sparse touches.
 
-Two sections, one claim each:
+"Eager" is ``MerkleTree()`` (full build, write-through updates);
+"incremental" is ``MerkleTree(lazy=True, coalesce=True)`` (lazy subtrees,
+coalesced write-back). Two sections, one claim each:
 
 ``matched``
-    Both engines over the *same* modest covered range (default 4 MB).
+    Both configurations over the *same* modest covered range (default 4 MB).
     Prices ``build()`` (eager: hash everything; incremental: O(1) zero
     anchor) and a seeded sparse-touch update/verify workload (eager:
     full root walk per update; incremental: one parent patch, coalesced
@@ -12,7 +14,7 @@ Two sections, one claim each:
     machine-independent, unlike absolute ops/sec.
 
 ``sparse_gb``
-    The incremental engine alone over a multi-GB covered range (default
+    The incremental configuration alone over a multi-GB covered range (default
     4 GB) the eager tree cannot even build in reasonable time — the
     :class:`~repro.mem.dram.BlockMemory` is sparse, so only touched
     blocks exist. The committed guard is the *scale ratio*: sparse-touch
@@ -41,7 +43,6 @@ import time
 
 from repro.crypto.mac import Blake2Mac
 from repro.integrity.geometry import TreeGeometry
-from repro.integrity.incremental import IncrementalMerkleTree
 from repro.integrity.merkle import MerkleTree
 from repro.mem.dram import BlockMemory
 
@@ -56,10 +57,13 @@ DEFAULT_OUT = os.path.join(os.path.dirname(__file__), os.pardir,
                            "BENCH_merkle.json")
 
 
-def make_tree(cls, covered_bytes: int, **kw):
+INCREMENTAL = {"lazy": True, "coalesce": True}
+
+
+def make_tree(covered_bytes: int, **policy):
     geometry = TreeGeometry(0, covered_bytes, covered_bytes, MAC_BYTES)
     memory = BlockMemory(geometry.nodes_end + 4096)
-    return cls(memory, geometry, Blake2Mac(KEY, MAC_BYTES * 8), **kw), memory
+    return MerkleTree(memory, geometry, Blake2Mac(KEY, MAC_BYTES * 8), **policy), memory
 
 
 def sparse_touch(tree, memory, covered_bytes: int, ops: int,
@@ -69,11 +73,11 @@ def sparse_touch(tree, memory, covered_bytes: int, ops: int,
     Touches come in bursts of ``burst`` consecutive blocks at seeded
     random locations — write traffic is bursty in practice (a cache
     writes back a dirty region, a page gets filled), and bursts are
-    what the incremental tree's coalescing merges: siblings under one
+    what the incremental policy's coalescing merges: siblings under one
     parent cost one node write instead of ``burst`` root walks. 90%
     writes, 10% verifies, with a periodic full flush so the queue
-    drains like a real machine's (the eager tree's ``flush_pending``
-    is a no-op).
+    drains like a real machine's (the write-through tree's
+    ``flush_pending`` is a no-op).
     """
     rng = random.Random(SEED)
     blocks = covered_bytes // BLOCK
@@ -109,12 +113,12 @@ def run_benchmark(matched_bytes: int, sparse_bytes: int, ops: int) -> dict:
     }
 
     # -- matched range: head to head ----------------------------------------
-    eager, eager_mem = make_tree(MerkleTree, matched_bytes)
+    eager, eager_mem = make_tree(matched_bytes)
     start = time.perf_counter()
     eager.build()
     eager_build = time.perf_counter() - start
 
-    lazy, lazy_mem = make_tree(IncrementalMerkleTree, matched_bytes)
+    lazy, lazy_mem = make_tree(matched_bytes, **INCREMENTAL)
     start = time.perf_counter()
     lazy.build()
     lazy_build = time.perf_counter() - start
@@ -138,7 +142,7 @@ def run_benchmark(matched_bytes: int, sparse_bytes: int, ops: int) -> dict:
     }
 
     # -- multi-GB sparse: incremental only -----------------------------------
-    big, big_mem = make_tree(IncrementalMerkleTree, sparse_bytes)
+    big, big_mem = make_tree(sparse_bytes, **INCREMENTAL)
     start = time.perf_counter()
     big.build()
     big_build = time.perf_counter() - start

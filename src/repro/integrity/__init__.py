@@ -7,25 +7,23 @@
 * :class:`LogHashIntegrity` — deferred log-hash baseline.
 * :class:`PageRootDirectory` — swap-extension of Merkle protection.
 
-Two functional tree engines share the :class:`MerkleTreeBase` interface:
-the eager :class:`MerkleTree` and the lazy, deferred-update
-:class:`IncrementalMerkleTree`.
+One functional tree engine, :class:`MerkleTree`, serves every tree
+scheme. Two independent policies shape it: ``lazy`` (build every node at
+boot, or adopt subtrees on first touch) and ``coalesce`` (write through
+to the root, or queue dirty nodes on-chip and drain them in batches).
 """
 
 from .bonsai import BonsaiMerkleIntegrity, StandardMerkleIntegrity
 from .geometry import NodeRef, TreeGeometry
-from .incremental import IncrementalMerkleTree
 from .loghash import LogHashIntegrity
 from .macs import MacOnlyIntegrity, MacStore
-from .merkle import MerkleTree, MerkleTreeBase, RootRegister
+from .merkle import MerkleTree, RootRegister
 from .pageroot import PageRootDirectory
 
 __all__ = [
     "TreeGeometry",
     "NodeRef",
-    "MerkleTreeBase",
     "MerkleTree",
-    "IncrementalMerkleTree",
     "RootRegister",
     "MacStore",
     "MacOnlyIntegrity",

@@ -266,9 +266,9 @@ class IntegrityScheme:
     def build_tree(self, machine, geometry: TreeGeometry):
         """Construct the functional tree engine over planned geometry.
 
-        The hook a tree-swapping scheme overrides in one line; engines
-        and the machine only ever see the
-        :class:`~repro.integrity.merkle.MerkleTreeBase` interface.
+        The hook a scheme overrides in one line to pick the tree's
+        ``lazy``/``coalesce`` policies; engines and the machine only ever
+        see the :class:`~repro.integrity.merkle.MerkleTree` interface.
         """
         from ..integrity.merkle import MerkleTree
 

@@ -1,11 +1,12 @@
-"""The ``bmt_lazy`` descriptor: the paper's BMT on the incremental tree.
+"""The ``bmt_lazy`` descriptor: the paper's BMT under the lazy tree policies.
 
-The worked "add a tree engine in one file" example from
+The worked "change the tree policy in one file" example from
 ``docs/architecture.md``: everything that differs from the eager
-:class:`~repro.schemes.integrity.BonsaiMerkleScheme` — tree construction,
-the deferred update policy the timing model follows, the fingerprint
-modules, and the scheduler gauges — lives here. The machine, simulator,
-kernel, and swap path are untouched; they only see the descriptor hooks.
+:class:`~repro.schemes.integrity.BonsaiMerkleScheme` — the tree's
+materialization and write-back policies, the deferred update policy the
+timing model follows, and the write-back gauges — lives here. The
+machine, simulator, kernel, and swap path are untouched; they only see
+the descriptor hooks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .integrity import BonsaiMerkleScheme
 
 
 class LazyBonsaiMerkleScheme(BonsaiMerkleScheme):
-    """BMT over counters + PRD, maintained by the incremental engine.
+    """BMT over counters + PRD, on a lazy, coalescing tree.
 
     Same geometry, same MAC regions, same Table 2 storage as ``bonsai``
     — but the tree materializes subtrees on first touch and queues dirty
@@ -28,16 +29,12 @@ class LazyBonsaiMerkleScheme(BonsaiMerkleScheme):
     update_policy = UpdatePolicy(deferred=True, batch=8, coalesce=True)
 
     def build_tree(self, machine, geometry):
-        from ..integrity.incremental import IncrementalMerkleTree
+        from ..integrity.merkle import MerkleTree
 
-        return IncrementalMerkleTree(
-            machine.memory, geometry, machine.mac_fn, coalesce=self.update_policy.coalesce
+        return MerkleTree(
+            machine.memory, geometry, machine.mac_fn,
+            lazy=True, coalesce=self.update_policy.coalesce,
         )
-
-    def tree_modules(self):
-        # The lazy engine subclasses the eager module's base, so both
-        # sources shape this scheme's results.
-        return ("repro.integrity.merkle", "repro.integrity.incremental")
 
     def engine_stats(self, engine):
         tree = engine.tree

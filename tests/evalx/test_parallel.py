@@ -153,20 +153,15 @@ class TestDiskCache:
         """Satellite invariant: the tree implementation is part of the
         timing model. Each integrity descriptor declares its engine
         modules (``tree_modules``) and the fingerprint folds them in, so
-        an edit to either tree file — or swapping which one a scheme
-        builds — invalidates every cached sweep cell."""
+        an edit to the tree engine invalidates every cached sweep cell."""
         from repro.evalx.parallel import timing_modules
 
-        modules = timing_modules()
-        assert "repro.integrity.merkle" in modules
-        assert "repro.integrity.incremental" in modules
+        assert "repro.integrity.merkle" in timing_modules()
 
     def test_tree_modules_reach_scheme_source_files(self):
         from repro.schemes import scheme_source_files
 
-        files = scheme_source_files()
-        assert any(f.endswith("integrity/incremental.py") for f in files)
-        assert any(f.endswith("integrity/merkle.py") for f in files)
+        assert any(f.endswith("integrity/merkle.py") for f in scheme_source_files())
 
     def test_registering_a_scheme_changes_the_fingerprint(self):
         """Satellite invariant: a new scheme descriptor — even one defined

@@ -1,12 +1,14 @@
-"""Incremental Merkle tree: lazy subtrees, scheduled updates, eager parity.
+"""The incremental tree policies: lazy subtrees, coalesced updates, eager parity.
 
-The load-bearing property is at the top: for *any* access sequence —
-updates, verifies, partial drains, ranged flushes, interleaved however —
-``drain(full=True)`` leaves the incremental tree node-for-node identical
-to an eager build over the same memory, root register included. Every
-acceptance property of the deferred design hangs off that: soundness of
-budget-cut drains, tamper detection through a half-built tree, and the
-hibernation persistence of the materialization set.
+``MerkleTree(lazy=True, coalesce=True)`` is the incremental configuration
+the ``bmt_lazy`` scheme runs. The load-bearing property is at the top:
+for *any* access sequence — updates, verifies, partial drains, ranged
+flushes, interleaved however — ``drain(full=True)`` leaves it
+node-for-node identical to an eager build over the same memory, root
+register included. Every acceptance property of the deferred design
+hangs off that: soundness of budget-cut drains, tamper detection through
+a half-built tree, and the hibernation persistence of the
+materialization set.
 """
 
 import pytest
@@ -16,7 +18,6 @@ from hypothesis import strategies as st
 from repro.core.errors import IntegrityError
 from repro.crypto.mac import Blake2Mac
 from repro.integrity.geometry import TreeGeometry
-from repro.integrity.incremental import IncrementalMerkleTree
 from repro.integrity.merkle import MerkleTree
 from repro.mem.dram import BlockMemory
 
@@ -26,16 +27,18 @@ MAC_BYTES = 16
 KEY = b"incremental-tree"
 
 
+def make_lazy(memory, geometry, coalesce=True, capacity=None):
+    return MerkleTree(memory, geometry, Blake2Mac(KEY, MAC_BYTES * 8),
+                      trusted_capacity=capacity, lazy=True, coalesce=coalesce)
+
+
 def make_pair(coalesce=True, capacity=None):
-    """An incremental tree and an eager tree over twin memories."""
+    """A lazy tree and an eager write-through tree over twin memories."""
     covered = COVERED_BLOCKS * BLOCK
     geometry = TreeGeometry(0, covered, covered, MAC_BYTES)
     lazy_mem = BlockMemory(geometry.nodes_end + 4096)
     eager_mem = BlockMemory(geometry.nodes_end + 4096)
-    lazy = IncrementalMerkleTree(
-        lazy_mem, geometry, Blake2Mac(KEY, MAC_BYTES * 8),
-        trusted_capacity=capacity, coalesce=coalesce,
-    )
+    lazy = make_lazy(lazy_mem, geometry, coalesce, capacity)
     eager = MerkleTree(eager_mem, geometry, Blake2Mac(KEY, MAC_BYTES * 8))
     lazy.build()
     eager.build()
@@ -185,19 +188,24 @@ class TestScheduling:
         assert lazy.root.value != root_after_flush  # 63's path moved it
 
     def test_noncoalescing_mode_drains_per_update(self):
+        """Write-through: each update walks its path to the root at once."""
         lazy, lazy_mem, _, _ = make_pair(coalesce=False)
         for block in (0, 5, 42):
+            before = lazy.root.updates
             write_covered(lazy, lazy_mem, block * BLOCK, b"\x07" * BLOCK)
-            assert lazy.pending_updates() == 0  # path drained immediately
-        assert lazy.drains == 3
+            assert lazy.pending_updates() == 0  # adopted parent written too
+            assert lazy.root.updates == before + 1
+        assert lazy.scheduled_updates == 0
 
     def test_noncoalescing_matches_eager_root_continuously(self):
         lazy, lazy_mem, eager, eager_mem = make_pair(coalesce=False)
-        eager.drop_trusted  # eager is the reference; no-op, silences linters
         for block in range(8):
             data = bytes([block + 1]) * BLOCK
             write_covered(lazy, lazy_mem, block * BLOCK, data)
             write_covered(eager, eager_mem, block * BLOCK, data)
+            lazy.drain(full=True)
+            assert lazy.root.value == eager.root.value
+            assert node_region(lazy, lazy_mem) == node_region(eager, eager_mem)
 
 
 class TestTamperDetection:
@@ -259,10 +267,7 @@ class TestHibernation:
         state = lazy.persist_state()
         assert state["materialized"]
 
-        geometry = lazy.geometry
-        resumed = IncrementalMerkleTree(
-            lazy_mem, geometry, Blake2Mac(KEY, MAC_BYTES * 8)
-        )
+        resumed = make_lazy(lazy_mem, lazy.geometry)
         resumed.restore_root(lazy.root.value)
         resumed.restore_state(state)
         resumed.verify(0)
@@ -278,9 +283,7 @@ class TestHibernation:
         root = lazy.root.value
 
         lazy_mem.corrupt(0)  # powered-down tamper
-        resumed = IncrementalMerkleTree(
-            lazy_mem, lazy.geometry, Blake2Mac(KEY, MAC_BYTES * 8)
-        )
+        resumed = make_lazy(lazy_mem, lazy.geometry)
         resumed.restore_root(root)
         resumed.restore_state(state)
         with pytest.raises(IntegrityError):
@@ -296,10 +299,19 @@ class TestHibernation:
         lazy.verify(0)  # re-verifies up from memory against the root
 
 
+# The plain (eager, write-through) and the incremental (lazy, coalescing)
+# configurations.
+POLICIES = pytest.mark.parametrize(
+    "policy",
+    [{}, {"lazy": True, "coalesce": True}],
+    ids=["MerkleTree", "IncrementalMerkleTree"],
+)
+
+
 class TestRootMemo:
     """Satellite regression: verify_root memoizes the top-node MAC."""
 
-    def _mac_counting_tree(self, cls):
+    def _mac_counting_tree(self, policy):
         covered = COVERED_BLOCKS * BLOCK
         geometry = TreeGeometry(0, covered, covered, MAC_BYTES)
         memory = BlockMemory(geometry.nodes_end + 4096)
@@ -311,34 +323,34 @@ class TestRootMemo:
                 CountingMac.calls = CountingMac.calls + 1
                 return super().compute(data)
 
-        tree = cls(memory, geometry, CountingMac(KEY, MAC_BYTES * 8))
+        tree = MerkleTree(memory, geometry, CountingMac(KEY, MAC_BYTES * 8), **policy)
         tree.build()
         return tree, memory, CountingMac
 
-    @pytest.mark.parametrize("cls", [MerkleTree, IncrementalMerkleTree])
-    def test_repeated_spot_checks_cost_one_mac(self, cls):
-        tree, _, counting = self._mac_counting_tree(cls)
+    @POLICIES
+    def test_repeated_spot_checks_cost_one_mac(self, policy):
+        tree, _, counting = self._mac_counting_tree(policy)
         tree.verify_root()
         after_first = counting.calls
         for _ in range(10):
             tree.verify_root()
         assert counting.calls == after_first  # memo hit: zero extra MACs
 
-    @pytest.mark.parametrize("cls", [MerkleTree, IncrementalMerkleTree])
-    def test_update_invalidates_the_memo(self, cls):
-        tree, memory, counting = self._mac_counting_tree(cls)
+    @POLICIES
+    def test_update_invalidates_the_memo(self, policy):
+        tree, memory, counting = self._mac_counting_tree(policy)
         tree.verify_root()
         write_covered(tree, memory, 0, b"\x99" * BLOCK)
-        tree.flush_pending()  # no-op for the eager tree
+        tree.flush_pending()  # no-op for the write-through tree
         before = counting.calls
         tree.verify_root()  # top node changed: memo must miss, MAC recomputed
         assert counting.calls == before + 1
         tree.verify_root()
         assert counting.calls == before + 1
 
-    @pytest.mark.parametrize("cls", [MerkleTree, IncrementalMerkleTree])
-    def test_tampered_top_node_still_detected_after_memo_hits(self, cls):
-        tree, memory, _ = self._mac_counting_tree(cls)
+    @POLICIES
+    def test_tampered_top_node_still_detected_after_memo_hits(self, policy):
+        tree, memory, _ = self._mac_counting_tree(policy)
         tree.verify_root()
         tree.verify_root()
         top_base = tree.geometry.level_bases[tree.geometry.levels - 1]

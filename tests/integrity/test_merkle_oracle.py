@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.crypto.mac import Blake2Mac
 from repro.integrity.geometry import TreeGeometry
-from repro.integrity.incremental import IncrementalMerkleTree
 from repro.integrity.merkle import MerkleTree
 from repro.mem.dram import BlockMemory
 
@@ -29,7 +28,7 @@ KEY = b"oracle-tree-key"
 
 def oracle(memory, geometry, mac):
     """Every node block and the root MAC, recomputed from leaf memory."""
-    width, arity = mac.mac_bytes, geometry.arity
+    arity = geometry.arity
     children = [memory.raw_read(geometry.covered_start + i * BLOCK)
                 for i in range(geometry.covered_bytes // BLOCK)]
     nodes = {}
@@ -56,16 +55,13 @@ def node_region(tree, memory):
     }
 
 
-# The (lazy, coalesce) policy pairs the engine offers.
-POLICIES = [(False, False), (True, False), (True, True)]
+# Every (lazy, coalesce) policy pair.
+POLICIES = [(False, False), (False, True), (True, False), (True, True)]
 
 
 def make_tree(memory, geometry, lazy, coalesce, capacity=None):
-    mac = Blake2Mac(KEY, MAC_BYTES * 8)
-    if not lazy:
-        return MerkleTree(memory, geometry, mac, trusted_capacity=capacity)
-    return IncrementalMerkleTree(memory, geometry, mac, trusted_capacity=capacity,
-                                 coalesce=coalesce)
+    return MerkleTree(memory, geometry, Blake2Mac(KEY, MAC_BYTES * 8),
+                      trusted_capacity=capacity, lazy=lazy, coalesce=coalesce)
 
 
 def setup(lazy=False, coalesce=False, capacity=None):
@@ -154,3 +150,35 @@ def test_every_policy_matches_the_oracle_after_a_full_drain(lazy, coalesce, ops,
     assert node_region(tree, memory) == nodes
     assert tree.root.value == root
     assert tree.materialized_fraction() == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_OPS, _CAPACITY)
+def test_eager_write_through_equals_the_parent_eager_tree(ops, capacity):
+    """(eager, through) against a frozen copy of the eager class it
+    replaces: same memory, root and statistics after every op."""
+    from tests.integrity._parent_merkle import MerkleTree as ParentMerkleTree
+
+    tree, memory = setup(capacity=capacity)
+    parent_memory = BlockMemory(memory.size_bytes)
+    parent_mac = Blake2Mac(KEY, MAC_BYTES * 8)
+    parent = ParentMerkleTree(parent_memory, tree.geometry, parent_mac,
+                              trusted_capacity=capacity)
+    parent.build()
+    for op in ops:
+        tree = apply(tree, memory, op, False, False, capacity)
+        if op[0] == "resume":
+            root = parent.root.value
+            parent = ParentMerkleTree(parent_memory, tree.geometry, parent_mac,
+                                      trusted_capacity=capacity)
+            parent.restore_root(root)
+        else:
+            apply(parent, parent_memory, op, False, False, capacity)
+        assert node_region(tree, memory) == node_region(parent, parent_memory)
+        assert tree.root.value == parent.root.value
+        assert tree.root.updates == parent.root.updates
+        assert tree.persist_state() is parent.persist_state() is None
+        assert tree.materialized_fraction() == parent.materialized_fraction() == 1.0
+        for name in ("verifications", "node_fetches", "trusted_hits"):
+            assert getattr(tree, name) == getattr(parent, name), name
+        assert tree.trusted_nodes() == parent.trusted_nodes()

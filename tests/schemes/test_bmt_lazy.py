@@ -1,11 +1,10 @@
 """The bmt_lazy scheme: one file, every layer of the stack.
 
 ``LazyBonsaiMerkleScheme`` is the worked example of the descriptor
-hooks: it swaps the tree implementation (``build_tree``), declares a
-deferred update policy (``update_policy``), publishes its engine gauges
-(``engine_stats``), and extends the model fingerprint
-(``tree_modules``) — without the machine, the kernel, the simulator, or
-the obs adapters naming it. These tests pin each of those integration
+hooks: it picks the tree's lazy, coalescing policies (``build_tree``),
+declares a deferred update policy (``update_policy``), and publishes its
+engine gauges (``engine_stats``) — without the machine, the kernel, the
+simulator, or the obs adapters naming it. These tests pin each of those integration
 points, plus functional equivalence with the eager ``bonsai`` scheme.
 """
 
@@ -18,7 +17,6 @@ import pytest
 from repro import fastpath, schemes
 from repro.core import IntegrityError, MachineConfig, sanitizer
 from repro.core.config import INT_BMT_LAZY
-from repro.integrity.incremental import IncrementalMerkleTree
 from repro.integrity.merkle import MerkleTree
 from repro.obs.adapters import register_machine, register_simulator
 from repro.obs.registry import MetricsRegistry
@@ -44,16 +42,16 @@ class TestRegistration:
 
     def test_tree_modules_feed_the_fingerprint(self):
         scheme = schemes.integrity_scheme(INT_BMT_LAZY)
-        assert "repro.integrity.incremental" in scheme.tree_modules()
+        assert scheme.tree_modules() == ("repro.integrity.merkle",)
         files = schemes.scheme_source_files()
-        assert any(f.endswith("integrity/incremental.py") for f in files)
         assert any(f.endswith("integrity/merkle.py") for f in files)
 
     def test_build_tree_hook_selects_the_implementation(self):
         lazy = make_machine(integrity="bmt_lazy", data_bytes=TINY)
         eager = make_machine(integrity="bonsai", data_bytes=TINY)
-        assert isinstance(lazy.tree, IncrementalMerkleTree)
-        assert type(eager.tree) is MerkleTree
+        assert type(lazy.tree) is type(eager.tree) is MerkleTree
+        assert (lazy.tree.lazy, lazy.tree.coalesce) == (True, True)
+        assert (eager.tree.lazy, eager.tree.coalesce) == (False, False)
 
 
 class TestFunctionalMachine:
