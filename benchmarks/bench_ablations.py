@@ -13,7 +13,7 @@ quantity that justifies it:
 
 from dataclasses import replace
 
-from repro.core.config import MachineConfig, aise_bmt_config
+from repro.core.config import MachineConfig
 from repro.evalx.runner import Runner
 from repro.sim.simulator import TimingSimulator
 from repro.workloads.spec2k import spec_trace
@@ -24,12 +24,10 @@ ABLATION_BENCHES = ("art", "mcf", "swim", "gcc")
 
 
 def _overheads(config, label, events=EVENTS):
-    from repro.core.config import baseline_config
-
     rows = {}
     for bench in ABLATION_BENCHES:
         trace = spec_trace(bench, events)
-        base = TimingSimulator(baseline_config()).run(trace, warmup=0.25)
+        base = TimingSimulator(MachineConfig.preset("base")).run(trace, warmup=0.25)
         result = TimingSimulator(config).run(trace, warmup=0.25)
         rows[bench] = result.overhead_vs(base)
     rows["avg"] = sum(rows.values()) / len(rows)
@@ -40,8 +38,8 @@ def test_ablation_cache_data_macs(benchmark, results_dir):
     """BMT deliberately does NOT cache per-block data MACs."""
 
     def run():
-        default = _overheads(aise_bmt_config(), "bmt")
-        cached = _overheads(aise_bmt_config(cache_data_macs=True), "bmt+cached-macs")
+        default = _overheads(MachineConfig.preset("aise+bmt"), "bmt")
+        cached = _overheads(MachineConfig.preset("aise+bmt", cache_data_macs=True), "bmt+cached-macs")
         return default, cached
 
     default, cached = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -90,12 +88,10 @@ def test_ablation_overlap_factor(benchmark, results_dir):
         out = {}
         trace = spec_trace("art", EVENTS)
         for overlap in (0.5, 0.7, 0.9):
-            from repro.core.config import baseline_config
-
-            base = TimingSimulator(baseline_config(), overlap=overlap).run(trace, warmup=0.25)
+            base = TimingSimulator(MachineConfig.preset("base"), overlap=overlap).run(trace, warmup=0.25)
             mt = TimingSimulator(MachineConfig(encryption="aise", integrity="merkle"),
                                  overlap=overlap).run(trace, warmup=0.25)
-            bmt = TimingSimulator(aise_bmt_config(), overlap=overlap).run(trace, warmup=0.25)
+            bmt = TimingSimulator(MachineConfig.preset("aise+bmt"), overlap=overlap).run(trace, warmup=0.25)
             out[overlap] = (mt.overhead_vs(base), bmt.overhead_vs(base))
         return out
 
@@ -122,7 +118,7 @@ def test_ablation_dedicated_node_cache(benchmark, results_dir):
         out["mt +256KB node$"] = _overheads(
             MachineConfig(encryption="aise", integrity="merkle",
                           node_cache=CacheConfig(256 * 1024, 8, 10)), "mt+nc")
-        out["aise+bmt"] = _overheads(aise_bmt_config(), "bmt")
+        out["aise+bmt"] = _overheads(MachineConfig.preset("aise+bmt"), "bmt")
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)

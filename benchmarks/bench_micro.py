@@ -6,7 +6,7 @@ timing simulator's event loop), which bounds how big a sweep the
 evaluation harness can afford.
 """
 
-from repro.core import MachineConfig, SecureMemorySystem, aise_bmt_config
+from repro.core import MachineConfig, SecureMemorySystem
 from repro.crypto.aes import AES
 from repro.crypto.ctr_mode import CounterModeCipher
 from repro.crypto.hmac_sha1 import hmac_sha1
@@ -82,13 +82,13 @@ class TestStructures:
 
 class TestFunctionalDatapath:
     def test_protected_write(self, benchmark):
-        machine = SecureMemorySystem(aise_bmt_config(physical_bytes=64 * 4096))
+        machine = SecureMemorySystem(MachineConfig.preset("aise+bmt", physical_bytes=64 * 4096))
         machine.boot()
         machine.write_block(0, bytes(64))  # allocate the page once
         benchmark(machine.write_block, 0, bytes(range(64)))
 
     def test_protected_read(self, benchmark):
-        machine = SecureMemorySystem(aise_bmt_config(physical_bytes=64 * 4096))
+        machine = SecureMemorySystem(MachineConfig.preset("aise+bmt", physical_bytes=64 * 4096))
         machine.boot()
         machine.write_block(0, bytes(range(64)))
         benchmark(machine.read_block, 0)
@@ -104,16 +104,14 @@ class TestFunctionalDatapath:
 class TestSimulatorThroughput:
     def test_events_per_second_base(self, benchmark):
         trace = streaming_trace(20_000, 4 << 20)
-        from repro.core import baseline_config
-
         benchmark.pedantic(
-            lambda: TimingSimulator(baseline_config()).run(trace), rounds=3, iterations=1
+            lambda: TimingSimulator(MachineConfig.preset("base")).run(trace), rounds=3, iterations=1
         )
 
     def test_events_per_second_full_protection(self, benchmark):
         trace = streaming_trace(20_000, 4 << 20)
         benchmark.pedantic(
-            lambda: TimingSimulator(aise_bmt_config()).run(trace), rounds=3, iterations=1
+            lambda: TimingSimulator(MachineConfig.preset("aise+bmt")).run(trace), rounds=3, iterations=1
         )
 
 

@@ -26,9 +26,6 @@ from .core import (
     IntegrityError,
     MachineConfig,
     SecureMemorySystem,
-    aise_bmt_config,
-    baseline_config,
-    global64_mt_config,
 )
 from .osmodel import Kernel
 from .sim import SimResult, TimingSimulator, Trace
@@ -49,9 +46,6 @@ __all__ = [
     "MachineConfig",
     "AccessContext",
     "IntegrityError",
-    "aise_bmt_config",
-    "baseline_config",
-    "global64_mt_config",
     "Kernel",
     "TimingSimulator",
     "SimResult",

@@ -28,12 +28,11 @@ SCH001    The functional machine, the timing simulator, and the kernel
           behavior lives in the :mod:`repro.schemes` descriptors, so a
           new scheme is one new file, not a hunt through if/elif chains.
 SCH002    Merkle tree node state mutates only through the tree's own
-          update/scheduler API (``update``/``flush_pending``/``drain``/
-          ``build``) — no direct writes to a tree's node stores or root
-          register outside :mod:`repro.integrity`. The incremental
-          engine's soundness argument (dirty write-back cache is
-          authoritative; drains are bottom-up) holds only if every
-          mutation goes through it.
+          API (``update``/``flush_pending``/``drain``/``build``) — no
+          direct writes to a tree's node stores or root register outside
+          :mod:`repro.integrity`. The coalescing write-back policy's
+          soundness argument (the dirty set is authoritative; drains are
+          bottom-up) holds only if every mutation goes through it.
 OBS001    Statistics objects mutate only inside their owning component;
           everyone else observes them through the pull-model adapters in
           :mod:`repro.obs.adapters` (and resets via ``reset_stats()``),
@@ -412,16 +411,16 @@ class TreeNodeMutationRule(Rule):
     severity = "error"
     title = "no direct tree node-state mutation outside repro.integrity"
     rationale = (
-        "The Merkle engines' soundness argument depends on every node "
-        "mutation flowing through the tree's update/scheduler API "
-        "(update, flush_pending, drain, build): the incremental engine "
-        "treats its dirty write-back cache as authoritative and drains "
-        "bottom-up, so a direct write to a node store or the root "
-        "register from outside repro.integrity silently forks the "
-        "tree's view of memory."
+        "The Merkle tree's soundness argument depends on every node "
+        "mutation flowing through the tree's own API (update, "
+        "flush_pending, drain, build): under the coalescing write-back "
+        "policy the dirty set is authoritative and drains bottom-up, so "
+        "a direct write to a node store or the root register from "
+        "outside repro.integrity silently forks the tree's view of "
+        "memory."
     )
 
-    # The node-state containers of MerkleTree / IncrementalMerkleTree.
+    # The node-state containers of MerkleTree.
     NODE_STATE = frozenset({"_dirty", "_trusted", "_materialized", "nodes"})
     # Mutating container methods (set/dict/OrderedDict surface).
     MUTATORS = frozenset(
@@ -867,8 +866,6 @@ class KnobGrammarRule(Rule):
         "metrics": False,
     }
     #: Alternate spellings that must not appear as parameters/fields.
-    #: ``collect_metrics`` is special-cased: it may exist as the
-    #: deprecation shim, but only defaulting to None.
     BANNED_SPELLINGS = {
         "cache": "cache_dir",
         "cachedir": "cache_dir",
@@ -926,15 +923,6 @@ class KnobGrammarRule(Rule):
                 )
 
     def _check_one(self, name, default, node, ctx, where) -> Iterator[Finding]:
-        if name == "collect_metrics":
-            if not (isinstance(default, ast.Constant) and default.value is None):
-                yield self.finding(
-                    ctx, node,
-                    f"{where} 'collect_metrics' is the deprecated spelling "
-                    "of 'metrics' and may only default to None (the "
-                    "not-passed sentinel of the deprecation shim)",
-                )
-            return
         if name in self.BANNED_SPELLINGS:
             yield self.finding(
                 ctx, node,

@@ -183,7 +183,6 @@ def simulate(
     warmup: float = 0.25,
     label: str | None = None,
     metrics: bool = False,
-    collect_metrics: bool | None = None,
 ) -> SimResult:
     """Run one workload through the timing model.
 
@@ -193,19 +192,7 @@ def simulate(
     end-of-run registry snapshot to ``SimResult.metrics`` (the same
     knob, same spelling, as :func:`sweep`). Equivalent to building the
     :class:`TimingSimulator` by hand — same defaults, same result.
-
-    ``collect_metrics`` is the deprecated pre-service spelling of
-    ``metrics``; it is honored for one release and will be removed.
     """
-    if collect_metrics is not None:
-        import warnings
-
-        warnings.warn(
-            "simulate(collect_metrics=...) is deprecated; use metrics=...",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        metrics = collect_metrics
     resolved, preset = _resolve_config(config)
     trace_ = load_trace(workload, events)
     return TimingSimulator(resolved, overlap=overlap).run(

@@ -22,10 +22,9 @@ round-trip exactly; the service dispatches on ``kind`` through
 :data:`REQUEST_TYPES`. Responses are built by the ``*_envelope``
 helpers so every emitter spells the same kinds.
 
-Old bare shapes (a sweep payload with a top-level ``cells``, a fleet
-report with ``aggregate``, a result dict with ``cycles``) remain
-*readable* through :func:`read_payload` for one release behind a
-:class:`DeprecationWarning`; writers must emit envelopes.
+Readers take envelopes only (:meth:`Envelope.from_wire`); the old bare
+shapes (a sweep payload with a top-level ``cells``, a fleet report with
+``aggregate``, a result dict with ``cycles``) are rejected.
 
 ``docs/service.md`` documents the wire protocol this module types.
 """
@@ -33,20 +32,11 @@ report with ``aggregate``, a result dict with ``cycles``) remain
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, fields
 
 # The schema generation. Bump only for an incompatible change to an
 # envelope body; additive request fields with defaults do not count.
 PAYLOAD_VERSION = 1
-
-# Envelope kinds with a legacy (pre-envelope) bare shape, and the
-# top-level key that identifies each bare shape on sight.
-_LEGACY_MARKERS = (
-    ("sweep", "cells"),
-    ("fleet", "aggregate"),
-    ("result", "cycles"),
-)
 
 
 class SchemaError(ValueError):
@@ -330,36 +320,3 @@ def ok_envelope(**body) -> Envelope:
 
 def error_envelope(message: str, **detail) -> Envelope:
     return Envelope(kind="error", body={"error": message, **detail})
-
-
-# -- the one-release deprecation shim -----------------------------------------
-
-
-def read_payload(doc: dict) -> Envelope:
-    """Read an enveloped *or* legacy bare payload as an :class:`Envelope`.
-
-    Enveloped documents pass through :meth:`Envelope.from_wire`. Bare
-    pre-envelope shapes are recognized by their signature top-level key
-    (``cells`` -> sweep, ``aggregate`` -> fleet, ``cycles`` -> result)
-    and wrapped, with a :class:`DeprecationWarning`: readable for one
-    release, then envelopes only.
-    """
-    if not isinstance(doc, dict):
-        raise SchemaError(f"payload must be an object, got {type(doc).__name__}")
-    if {"payload_version", "kind", "body"} <= doc.keys():
-        return Envelope.from_wire(doc)
-    for kind, marker in _LEGACY_MARKERS:
-        if marker in doc:
-            warnings.warn(
-                f"bare {kind} payloads are deprecated; emitters now wrap them in "
-                f"the versioned envelope (repro.api.schema, payload_version "
-                f"{PAYLOAD_VERSION}) and bare-shape reading will be removed "
-                "next release",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return Envelope(kind=kind, body=doc)
-    raise SchemaError(
-        "not an envelope (missing payload_version/kind/body) and not a "
-        "recognized legacy payload shape"
-    )

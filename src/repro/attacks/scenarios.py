@@ -15,7 +15,9 @@ tamper counter     n/a        detected   detected    missed
 tamper swap page   n/a        detected*  detected*   missed
 =================  =========  =========  ==========  ==========
 
-(*) via the page-root directory, section 5.1.
+(*) via the page-root directory, section 5.1. ``bmt_lazy`` (the bonsai
+tree under the lazy, coalescing policies) has the ``bonsai`` column for
+every block the tree has measured.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError
@@ -32,7 +31,7 @@ INT_NONE = "none"
 INT_MAC = "mac_only"
 INT_MT = "merkle"
 INT_BMT = "bonsai"
-INT_BMT_LAZY = "bmt_lazy"  # BMT on the incremental (lazy, deferred) tree engine
+INT_BMT_LAZY = "bmt_lazy"  # BMT on the lazy, coalescing tree policies
 INT_LOGHASH = "loghash"
 INTEGRITY_SCHEMES = (INT_NONE, INT_MAC, INT_MT, INT_BMT, INT_BMT_LAZY, INT_LOGHASH)
 
@@ -195,48 +194,3 @@ PRESET_NAMES = (
     "aise+bmt",
     "global64+mt",
 )
-
-
-# -- deprecated named constructors -------------------------------------------
-#
-# Thin shims over MachineConfig.preset, kept one release for callers of
-# the original constructor trio. Each warns once per process; the
-# warned-set is process state (not a warnings-module filter) so tests
-# can reset it and assert the warn-exactly-once contract.
-
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _reset_deprecation_warnings() -> None:
-    """Forget which shims have warned (test hook)."""
-    _DEPRECATION_WARNED.clear()
-
-
-def _warn_deprecated(old: str, preset: str) -> None:
-    if old in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(old)
-    warnings.warn(
-        f"{old}() is deprecated; use MachineConfig.preset({preset!r}) "
-        "or repro.api.build_machine",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def baseline_config(**overrides) -> MachineConfig:
-    """Deprecated: use ``MachineConfig.preset("base")``."""
-    _warn_deprecated("baseline_config", "base")
-    return MachineConfig.preset("base", **overrides)
-
-
-def aise_bmt_config(**overrides) -> MachineConfig:
-    """Deprecated: use ``MachineConfig.preset("aise+bmt")``."""
-    _warn_deprecated("aise_bmt_config", "aise+bmt")
-    return MachineConfig.preset("aise+bmt", **overrides)
-
-
-def global64_mt_config(**overrides) -> MachineConfig:
-    """Deprecated: use ``MachineConfig.preset("global64+mt")``."""
-    _warn_deprecated("global64_mt_config", "global64+mt")
-    return MachineConfig.preset("global64+mt", **overrides)

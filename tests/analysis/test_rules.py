@@ -7,6 +7,8 @@ touching real files.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis import analyze_source, get_rules
 
 
@@ -333,11 +335,10 @@ class TestApi002KnobGrammar:
         src = "def sweep(*, cache=None):\n    pass\n"
         assert triggers("API002", src, "api/__init__.py")
 
-    def test_deprecation_shim_must_default_none(self):
-        good = "def simulate(*, metrics=False, collect_metrics=None):\n    pass\n"
-        bad = "def simulate(*, collect_metrics=False):\n    pass\n"
-        assert not triggers("API002", good, "api/__init__.py")
-        assert triggers("API002", bad, "api/__init__.py")
+    @pytest.mark.parametrize("default", ["None", "False"])
+    def test_flags_collect_metrics_whatever_its_default(self, default):
+        src = f"def simulate(*, metrics=False, collect_metrics={default}):\n    pass\n"
+        assert triggers("API002", src, "api/__init__.py")
 
     def test_non_facade_functions_are_exempt(self):
         src = "def helper(*, events=5):\n    pass\n"

@@ -1,11 +1,9 @@
-"""The repro.api facade: equivalence with direct calls, presets, shims.
+"""The repro.api facade: equivalence with direct calls, presets.
 
 The facade's contract is *no drift*: every facade call must produce
 exactly what the hand-built equivalent produces, because the CLI, the
 examples, and the docs all route through it (enforced by API001).
 """
-
-import warnings
 
 import pytest
 
@@ -20,12 +18,6 @@ from repro.api import (
     load_trace,
     preset_names,
     simulate,
-)
-from repro.core.config import (
-    _reset_deprecation_warnings,
-    aise_bmt_config,
-    baseline_config,
-    global64_mt_config,
 )
 
 PAGE = 4096
@@ -135,31 +127,6 @@ class TestFacadeSurface:
         from repro.evalx.runner import CONFIGS
 
         assert tuple(CONFIGS) == preset_names()
-
-
-class TestDeprecatedShims:
-    def test_shims_delegate_to_preset(self):
-        _reset_deprecation_warnings()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert baseline_config() == MachineConfig.preset("base")
-            assert aise_bmt_config(mac_bits=64) == MachineConfig.preset(
-                "aise+bmt", mac_bits=64
-            )
-            assert global64_mt_config() == MachineConfig.preset("global64+mt")
-
-    def test_each_shim_warns_exactly_once_per_process(self):
-        _reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            baseline_config()
-            baseline_config()
-            aise_bmt_config()
-        messages = [str(w.message) for w in caught if w.category is DeprecationWarning]
-        assert len(messages) == 2
-        assert any("baseline_config" in m for m in messages)
-        assert any("aise_bmt_config" in m for m in messages)
-        _reset_deprecation_warnings()
 
 
 class TestPrecompile:

@@ -114,25 +114,26 @@ class TestResponseBuilders:
 
 
 class TestLegacyShim:
-    def test_legacy_sweep_payload_still_reads(self):
-        legacy = {"cells": {"art/base/default": {"cycles": 1.0}},
-                  "configs": ["base"], "benchmarks": ["art"], "events": 2000,
-                  "sweep": True}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            env = schema.read_payload(legacy)
-        assert env.kind == "sweep"
-        assert env.body["cells"]
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
+    """Bare pre-envelope payloads are no longer read: envelopes only."""
+
+    @pytest.mark.parametrize("legacy", [
+        {"cells": {"art/base/default": {"cycles": 1.0}}, "configs": ["base"],
+         "benchmarks": ["art"], "events": 2000, "sweep": True},
+        {"aggregate": {}},
+        {"cycles": 1.0},
+    ], ids=["sweep", "fleet", "result"])
+    def test_legacy_bare_payload_is_rejected(self, legacy):
+        with pytest.raises(schema.SchemaError):
+            schema.Envelope.from_wire(legacy)
 
     def test_enveloped_payload_reads_without_warning(self):
         env = schema.sweep_envelope({"cells": {}, "configs": [],
                                      "benchmarks": [], "events": 1})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            again = schema.read_payload(env.to_wire())
+            again = schema.Envelope.from_wire(env.to_wire())
         assert again == env
 
     def test_unrecognized_legacy_shape_rejected(self):
         with pytest.raises(schema.SchemaError):
-            schema.read_payload({"mystery": 1})
+            schema.Envelope.from_wire({"mystery": 1})

@@ -5,9 +5,6 @@ import pytest
 from repro.core.config import (
     CacheConfig,
     MachineConfig,
-    aise_bmt_config,
-    baseline_config,
-    global64_mt_config,
 )
 from repro.core.errors import ConfigurationError
 
@@ -77,7 +74,7 @@ class TestDerived:
         assert MachineConfig(integrity="bonsai", cache_data_macs=True).caches_data_macs
 
     def test_with_protection(self):
-        base = baseline_config()
+        base = MachineConfig.preset("base")
         derived = base.with_protection("aise", "bonsai", mac_bits=64)
         assert derived.encryption == "aise"
         assert derived.mac_bits == 64
@@ -86,19 +83,19 @@ class TestDerived:
 
 class TestNamedConfigs:
     def test_baseline(self):
-        config = baseline_config()
+        config = MachineConfig.preset("base")
         assert (config.encryption, config.integrity) == ("none", "none")
 
     def test_aise_bmt(self):
-        config = aise_bmt_config()
+        config = MachineConfig.preset("aise+bmt")
         assert (config.encryption, config.integrity) == ("aise", "bonsai")
 
     def test_global64_mt(self):
-        config = global64_mt_config()
+        config = MachineConfig.preset("global64+mt")
         assert (config.encryption, config.integrity) == ("global64", "merkle")
 
     def test_overrides_flow_through(self):
-        config = aise_bmt_config(mac_bits=256, physical_bytes=1 << 20)
+        config = MachineConfig.preset("aise+bmt", mac_bits=256, physical_bytes=1 << 20)
         assert config.mac_bits == 256
         assert config.physical_bytes == 1 << 20
 

@@ -9,11 +9,11 @@ resumes from sealed storage, never from a recomputation over the
 
 import pytest
 
-from repro.core import IntegrityError, MachineConfig, SecureMemorySystem, aise_bmt_config
+from repro.core import IntegrityError, MachineConfig, SecureMemorySystem
 from repro.core.errors import ConfigurationError
 from repro.mem.layout import PAGE_SIZE
 
-CONFIG = aise_bmt_config(physical_bytes=16 * PAGE_SIZE)
+CONFIG = MachineConfig.preset("aise+bmt", physical_bytes=16 * PAGE_SIZE)
 
 
 def hibernated_machine():

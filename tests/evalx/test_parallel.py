@@ -12,7 +12,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.core.config import CacheConfig, MachineConfig, aise_bmt_config
+from repro.core.config import CacheConfig, MachineConfig
 from repro.evalx import parallel
 from repro.evalx.parallel import (
     Cell,
@@ -55,7 +55,7 @@ class TestSerialization:
             config_from_dict(config_to_dict(config)))
 
     def test_fingerprint_distinguishes_configs(self):
-        assert config_fingerprint(aise_bmt_config()) != config_fingerprint(
+        assert config_fingerprint(MachineConfig.preset("aise+bmt")) != config_fingerprint(
             MachineConfig(encryption="aise", integrity="merkle"))
 
     def test_trace_digest_tracks_content(self):
@@ -85,7 +85,7 @@ class TestDeterminism:
         """mac_bits=None and an explicit default-size override describe
         the same machine; the engine simulates it once."""
         cache = ResultCache(str(tmp_path))
-        config = aise_bmt_config()
+        config = MachineConfig.preset("aise+bmt")
         cells = [
             Cell(bench="art", label="aise+bmt", config=config),
             Cell(bench="art", label="aise+bmt", config=config, mac_bits=128),
@@ -130,12 +130,12 @@ class TestDiskCache:
     def test_key_depends_on_trace_config_and_model(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         digest = spec_trace("art", EVENTS).digest()
-        key = cache.key_for(digest, aise_bmt_config(), 0.7, 0.25)
-        assert key == cache.key_for(digest, aise_bmt_config(), 0.7, 0.25)
+        key = cache.key_for(digest, MachineConfig.preset("aise+bmt"), 0.7, 0.25)
+        assert key == cache.key_for(digest, MachineConfig.preset("aise+bmt"), 0.7, 0.25)
         assert key != cache.key_for(
             digest, MachineConfig(encryption="aise", integrity="merkle"), 0.7, 0.25)
-        assert key != cache.key_for(digest, aise_bmt_config(), 0.8, 0.25)
-        assert key != cache.key_for("0" * 64, aise_bmt_config(), 0.7, 0.25)
+        assert key != cache.key_for(digest, MachineConfig.preset("aise+bmt"), 0.8, 0.25)
+        assert key != cache.key_for("0" * 64, MachineConfig.preset("aise+bmt"), 0.7, 0.25)
 
     def test_model_fingerprint_is_stable_in_process(self):
         assert model_fingerprint() == model_fingerprint()
@@ -206,11 +206,11 @@ class TestDegradation:
         """Every cell whose worker dies is recomputed in-process, so a
         broken pool degrades throughput, never coverage or results."""
         serial = run_cells(
-            [Cell(bench="art", label="aise+bmt", config=aise_bmt_config())],
+            [Cell(bench="art", label="aise+bmt", config=MachineConfig.preset("aise+bmt"))],
             events=EVENTS)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", _BrokenPool)
         degraded = run_cells(
-            [Cell(bench="art", label="aise+bmt", config=aise_bmt_config())],
+            [Cell(bench="art", label="aise+bmt", config=MachineConfig.preset("aise+bmt"))],
             events=EVENTS, workers=2)
         assert degraded == serial
 
@@ -243,14 +243,14 @@ class TestMetricsPlumbing:
         nothing to the payload and metrics=True forks a separate key."""
         cache = ResultCache(str(tmp_path))
         digest = spec_trace("art", EVENTS).digest()
-        plain = cache.key_for(digest, aise_bmt_config(), 0.7, 0.25)
-        assert plain == cache.key_for(digest, aise_bmt_config(), 0.7, 0.25,
+        plain = cache.key_for(digest, MachineConfig.preset("aise+bmt"), 0.7, 0.25)
+        assert plain == cache.key_for(digest, MachineConfig.preset("aise+bmt"), 0.7, 0.25,
                                       metrics=False)
-        assert plain != cache.key_for(digest, aise_bmt_config(), 0.7, 0.25,
+        assert plain != cache.key_for(digest, MachineConfig.preset("aise+bmt"), 0.7, 0.25,
                                       metrics=True)
 
     def test_pool_metrics_match_serial_metrics(self, tmp_path):
-        cells = [Cell(bench=b, label="aise+bmt", config=aise_bmt_config())
+        cells = [Cell(bench=b, label="aise+bmt", config=MachineConfig.preset("aise+bmt"))
                  for b in BENCHES]
         serial = run_cells(cells, events=EVENTS, metrics=True)
         pooled = run_cells(cells, events=EVENTS, workers=2, metrics=True)

@@ -118,13 +118,6 @@ _OPS = st.lists(
 _CAPACITY = st.sampled_from([None, 1, 3])
 
 
-def test_oracle_matches_a_fresh_build_over_zero_memory():
-    tree, memory = setup()
-    nodes, root = oracle(memory, tree.geometry, tree.mac)
-    assert node_region(tree, memory) == nodes
-    assert tree.root.value == root
-
-
 @settings(max_examples=40, deadline=None)
 @given(_OPS, _CAPACITY)
 def test_eager_write_through_matches_the_oracle_after_every_op(ops, capacity):
@@ -150,35 +143,3 @@ def test_every_policy_matches_the_oracle_after_a_full_drain(lazy, coalesce, ops,
     assert node_region(tree, memory) == nodes
     assert tree.root.value == root
     assert tree.materialized_fraction() == 1.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(_OPS, _CAPACITY)
-def test_eager_write_through_equals_the_parent_eager_tree(ops, capacity):
-    """(eager, through) against a frozen copy of the eager class it
-    replaces: same memory, root and statistics after every op."""
-    from tests.integrity._parent_merkle import MerkleTree as ParentMerkleTree
-
-    tree, memory = setup(capacity=capacity)
-    parent_memory = BlockMemory(memory.size_bytes)
-    parent_mac = Blake2Mac(KEY, MAC_BYTES * 8)
-    parent = ParentMerkleTree(parent_memory, tree.geometry, parent_mac,
-                              trusted_capacity=capacity)
-    parent.build()
-    for op in ops:
-        tree = apply(tree, memory, op, False, False, capacity)
-        if op[0] == "resume":
-            root = parent.root.value
-            parent = ParentMerkleTree(parent_memory, tree.geometry, parent_mac,
-                                      trusted_capacity=capacity)
-            parent.restore_root(root)
-        else:
-            apply(parent, parent_memory, op, False, False, capacity)
-        assert node_region(tree, memory) == node_region(parent, parent_memory)
-        assert tree.root.value == parent.root.value
-        assert tree.root.updates == parent.root.updates
-        assert tree.persist_state() is parent.persist_state() is None
-        assert tree.materialized_fraction() == parent.materialized_fraction() == 1.0
-        for name in ("verifications", "node_fetches", "trusted_hits"):
-            assert getattr(tree, name) == getattr(parent, name), name
-        assert tree.trusted_nodes() == parent.trusted_nodes()

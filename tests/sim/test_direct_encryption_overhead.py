@@ -8,7 +8,7 @@ counter mode. The timing model should land in that regime.
 
 import pytest
 
-from repro.core.config import MachineConfig, baseline_config
+from repro.core.config import MachineConfig
 from repro.sim.simulator import TimingSimulator
 from repro.workloads.spec2k import MEMORY_BOUND, SPEC2K_BENCHMARKS, spec_trace
 
@@ -17,7 +17,7 @@ EVENTS = 50_000
 
 def overhead(bench: str, config: MachineConfig) -> float:
     trace = spec_trace(bench, EVENTS)
-    base = TimingSimulator(baseline_config()).run(trace)
+    base = TimingSimulator(MachineConfig.preset("base")).run(trace)
     return TimingSimulator(config).run(trace).overhead_vs(base)
 
 

@@ -26,9 +26,7 @@ class TestDedicatedNodeCache:
         assert dedicated.l2_data_fraction == pytest.approx(1.0)
 
     def test_restores_data_miss_rate(self, trace):
-        from repro.core.config import baseline_config
-
-        base = TimingSimulator(baseline_config()).run(trace)
+        base = TimingSimulator(MachineConfig.preset("base")).run(trace)
         dedicated = TimingSimulator(mt_config(node_kb=256)).run(trace)
         assert dedicated.l2_miss_rate == pytest.approx(base.l2_miss_rate, abs=0.01)
 
@@ -54,11 +52,10 @@ class TestDedicatedNodeCache:
         """BMT's bonsai tree is already tiny; a dedicated cache for it is
         nearly a no-op — the paper's point that shrinking the tree beats
         provisioning hardware for a big one."""
-        from repro.core.config import aise_bmt_config
         from dataclasses import replace
 
-        default = TimingSimulator(aise_bmt_config()).run(trace)
+        default = TimingSimulator(MachineConfig.preset("aise+bmt")).run(trace)
         with_cache = TimingSimulator(
-            replace(aise_bmt_config(), node_cache=CacheConfig(32 * 1024, 8, 10))
+            replace(MachineConfig.preset("aise+bmt"), node_cache=CacheConfig(32 * 1024, 8, 10))
         ).run(trace)
         assert with_cache.cycles == pytest.approx(default.cycles, rel=0.02)

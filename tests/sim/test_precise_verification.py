@@ -7,7 +7,7 @@ relationships of the precise mode the schemes are also "compatible with".
 
 import pytest
 
-from repro.core.config import MachineConfig, aise_bmt_config, baseline_config
+from repro.core.config import MachineConfig
 from repro.sim.simulator import TimingSimulator
 from repro.workloads.spec2k import spec_trace
 
@@ -23,8 +23,8 @@ def run(config, trace):
 
 class TestPreciseMode:
     def test_precise_costs_more(self, trace):
-        relaxed = run(aise_bmt_config(), trace)
-        precise = run(aise_bmt_config(precise_verification=True), trace)
+        relaxed = run(MachineConfig.preset("aise+bmt"), trace)
+        precise = run(MachineConfig.preset("aise+bmt", precise_verification=True), trace)
         assert precise.cycles > relaxed.cycles * 1.2
 
     def test_precise_mt_costs_more_than_relaxed_mt(self, trace):
@@ -36,8 +36,8 @@ class TestPreciseMode:
         assert precise.cycles > relaxed.cycles
 
     def test_precise_without_integrity_is_free(self, trace):
-        relaxed = run(baseline_config(), trace)
-        precise = run(baseline_config(precise_verification=True), trace)
+        relaxed = run(MachineConfig.preset("base"), trace)
+        precise = run(MachineConfig.preset("base", precise_verification=True), trace)
         assert precise.cycles == pytest.approx(relaxed.cycles)
 
     def test_uncached_macs_hurt_under_precise_verification(self, trace):
@@ -45,15 +45,15 @@ class TestPreciseMode:
         verification; once verification blocks retirement, every uncached
         MAC fetch is a serialized memory round-trip, and caching wins.
         (An interaction the paper's section 5.2/6 split implies.)"""
-        uncached = run(aise_bmt_config(precise_verification=True), trace)
+        uncached = run(MachineConfig.preset("aise+bmt", precise_verification=True), trace)
         cached = run(
-            aise_bmt_config(precise_verification=True, cache_data_macs=True), trace
+            MachineConfig.preset("aise+bmt", precise_verification=True, cache_data_macs=True), trace
         )
         assert cached.cycles < uncached.cycles
 
     def test_bmt_still_beats_mt_when_both_cache_macs(self, trace):
         bmt = run(
-            aise_bmt_config(precise_verification=True, cache_data_macs=True), trace
+            MachineConfig.preset("aise+bmt", precise_verification=True, cache_data_macs=True), trace
         )
         mt = run(
             MachineConfig(encryption="aise", integrity="merkle", precise_verification=True),

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import AccessRecorder, OP_READ, OP_WRITE, TimingSimulator
-from repro.core import aise_bmt_config, baseline_config
+from repro.core import MachineConfig
 from repro.osmodel import Kernel
 
 from tests.conftest import make_machine
@@ -68,6 +68,6 @@ class TestKernelWorkloadReplay:
                 kernel.read(proc.pid, 0x10000 + i * PAGE, 256)
         trace = recorder.to_trace("os-workload")
         assert len(trace) > 0
-        base = TimingSimulator(baseline_config()).run(trace, warmup=0.0)
-        protected = TimingSimulator(aise_bmt_config()).run(trace, warmup=0.0)
+        base = TimingSimulator(MachineConfig.preset("base")).run(trace, warmup=0.0)
+        protected = TimingSimulator(MachineConfig.preset("aise+bmt")).run(trace, warmup=0.0)
         assert protected.cycles >= base.cycles > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import MachineConfig, aise_bmt_config, baseline_config, global64_mt_config
+from repro.core.config import MachineConfig
 from repro.sim.simulator import TimingSimulator, simulate
 from repro.sim.trace import OP_READ, OP_WRITE, Trace
 from repro.workloads.synthetic import pointer_chase_trace, resident_trace, streaming_trace
@@ -15,7 +15,7 @@ def run(config, trace, warmup=0.0, overlap=0.7):
 class TestBaselineMechanics:
     def test_hits_are_cheap(self):
         trace = Trace.from_lists([(0, OP_READ, 0)] * 100)
-        result = run(baseline_config(), trace)
+        result = run(MachineConfig.preset("base"), trace)
         # One cold miss, then 99 hits at L2 latency.
         assert result.l2_misses == 1
         assert result.cycles < 100 * 30
@@ -23,36 +23,36 @@ class TestBaselineMechanics:
     def test_misses_pay_memory_latency(self):
         cold = Trace.from_lists([(0, OP_READ, i * 64) for i in range(100)])
         warm = Trace.from_lists([(0, OP_READ, 0)] * 100)
-        assert run(baseline_config(), cold).cycles > run(baseline_config(), warm).cycles * 3
+        assert run(MachineConfig.preset("base"), cold).cycles > run(MachineConfig.preset("base"), warm).cycles * 3
 
     def test_deterministic(self):
         trace = streaming_trace(2000, 1 << 20, seed=3)
-        a = run(aise_bmt_config(), trace)
-        b = run(aise_bmt_config(), trace)
+        a = run(MachineConfig.preset("aise+bmt"), trace)
+        b = run(MachineConfig.preset("aise+bmt"), trace)
         assert a.cycles == b.cycles
 
     def test_miss_rate_reporting(self):
         trace = Trace.from_lists([(0, OP_READ, i * 64) for i in range(50)] * 2)
-        result = run(baseline_config(), trace)
+        result = run(MachineConfig.preset("base"), trace)
         assert result.l2_accesses == 100
         assert result.l2_misses == 50
         assert result.l2_miss_rate == pytest.approx(0.5)
 
     def test_warmup_excludes_cold_misses(self):
         trace = Trace.from_lists([(0, OP_READ, i % 10 * 64) for i in range(1000)])
-        result = run(baseline_config(), trace, warmup=0.5)
+        result = run(MachineConfig.preset("base"), trace, warmup=0.5)
         assert result.l2_misses == 0  # all 10 blocks warmed
 
     def test_instructions_counted_post_warmup(self):
         trace = Trace.from_lists([(9, OP_READ, 0)] * 100)
-        result = run(baseline_config(), trace, warmup=0.5)
+        result = run(MachineConfig.preset("base"), trace, warmup=0.5)
         assert result.instructions == 50 * 10
 
     def test_writes_cause_writebacks(self):
         # Write 1000 distinct blocks through a small set of L2 sets, then
         # stream reads to force dirty evictions.
         events = [(0, OP_WRITE, i * 64) for i in range(20000)]
-        result = run(baseline_config(), Trace.from_lists(events))
+        result = run(MachineConfig.preset("base"), Trace.from_lists(events))
         assert result.bus_transfers_by_kind.get("data_wb", 0) > 0
 
 
@@ -61,7 +61,7 @@ class TestEncryptionTiming:
         """Sequential blocks share an AISE counter block: after the first
         miss per page the pad is overlapped — near-zero exposure."""
         trace = streaming_trace(5000, 4 << 20, seed=1)
-        result = run(aise_bmt_config(), trace)
+        result = run(MachineConfig.preset("aise+bmt"), trace)
         exposure_per_miss = result.exposed_decrypt_cycles / max(1, result.l2_misses)
         assert exposure_per_miss < 15
 
@@ -85,7 +85,7 @@ class TestEncryptionTiming:
 
     def test_unprotected_has_no_counter_traffic(self):
         trace = streaming_trace(1000, 1 << 20)
-        result = run(baseline_config(), trace)
+        result = run(MachineConfig.preset("base"), trace)
         assert result.counter_accesses == 0
         assert result.exposed_decrypt_cycles == 0
 
@@ -98,13 +98,13 @@ class TestIntegrityTiming:
 
     def test_bmt_fetches_uncached_macs_every_miss(self):
         trace = pointer_chase_trace(3000, 8 << 20, seed=6)
-        result = run(aise_bmt_config(), trace)
+        result = run(MachineConfig.preset("aise+bmt"), trace)
         assert result.bus_transfers_by_kind.get("mac", 0) >= result.l2_misses * 0.9
 
     def test_mt_pollutes_l2_bmt_does_not(self):
         trace = streaming_trace(20000, 4 << 20, seed=7)
         mt = run(MachineConfig(encryption="aise", integrity="merkle"), trace)
-        bmt = run(aise_bmt_config(), trace)
+        bmt = run(MachineConfig.preset("aise+bmt"), trace)
         assert mt.l2_merkle_fraction > 0.10
         assert bmt.l2_merkle_fraction < 0.05
         assert bmt.l2_data_fraction > mt.l2_data_fraction
@@ -113,8 +113,8 @@ class TestIntegrityTiming:
         """cache_data_macs=True re-introduces MAC pollution (section 5.2
         explains why BMT deliberately does not cache them)."""
         trace = streaming_trace(20000, 4 << 20, seed=8)
-        default = run(aise_bmt_config(), trace)
-        cached = run(aise_bmt_config(cache_data_macs=True), trace)
+        default = run(MachineConfig.preset("aise+bmt"), trace)
+        cached = run(MachineConfig.preset("aise+bmt", cache_data_macs=True), trace)
         assert cached.l2_merkle_fraction > default.l2_merkle_fraction
 
 
@@ -130,12 +130,12 @@ class TestPaperOrderings:
                                   mean_gap=8)
         trace = generate_trace(profile, 40_000, seed=11)
         configs = {
-            "base": baseline_config(),
+            "base": MachineConfig.preset("base"),
             "aise": MachineConfig(encryption="aise", integrity="none"),
             "global64": MachineConfig(encryption="global64", integrity="none"),
             "aise+mt": MachineConfig(encryption="aise", integrity="merkle"),
-            "aise+bmt": aise_bmt_config(),
-            "g64+mt": global64_mt_config(),
+            "aise+bmt": MachineConfig.preset("aise+bmt"),
+            "g64+mt": MachineConfig.preset("global64+mt"),
         }
         return {label: TimingSimulator(cfg).run(trace, warmup=0.25)
                 for label, cfg in configs.items()}
@@ -175,6 +175,6 @@ class TestPaperOrderings:
 
 class TestOneShotHelper:
     def test_simulate_function(self):
-        result = simulate(resident_trace(1000), aise_bmt_config(), label="check")
+        result = simulate(resident_trace(1000), MachineConfig.preset("aise+bmt"), label="check")
         assert result.config_label == "check"
         assert result.cycles > 0

@@ -3,7 +3,7 @@ occupancy sampling, and cross-configuration invariants."""
 
 import pytest
 
-from repro.core.config import MachineConfig, aise_bmt_config, baseline_config
+from repro.core.config import MachineConfig
 from repro.sim.simulator import TimingSimulator
 from repro.sim.trace import OP_READ, OP_WRITE, Trace
 from repro.workloads.synthetic import WorkloadProfile, generate_trace
@@ -26,7 +26,7 @@ class TestWritebackChains:
         assert kinds.get("counter_wb", 0) > 0
 
     def test_counter_writebacks_update_the_tree(self):
-        sim = TimingSimulator(aise_bmt_config())
+        sim = TimingSimulator(MachineConfig.preset("aise+bmt"))
         sim.run(write_stream(40_000), warmup=0.0)
         kinds = sim.bus.stats.transfers_by_kind
         # Dirty counter blocks leave through the bonsai tree: node
@@ -35,7 +35,7 @@ class TestWritebackChains:
         assert kinds.get("merkle", 0) > 0
 
     def test_mac_updates_on_writeback(self):
-        sim = TimingSimulator(aise_bmt_config())
+        sim = TimingSimulator(MachineConfig.preset("aise+bmt"))
         sim.run(write_stream(40_000), warmup=0.0)
         assert sim.bus.stats.transfers_by_kind.get("mac_wb", 0) > 0
 
@@ -57,13 +57,13 @@ class TestMetadataAddressing:
         assert sim._counter_block_addr(512) == sim._counter_block_addr(0) + 64
 
     def test_mac_block_addressing(self):
-        sim = TimingSimulator(aise_bmt_config())
+        sim = TimingSimulator(MachineConfig.preset("aise+bmt"))
         # 128-bit MACs: 4 MACs per 64B block.
         assert sim._mac_block_addr(0) == sim._mac_block_addr(3 * 64)
         assert sim._mac_block_addr(4 * 64) == sim._mac_block_addr(0) + 64
 
     def test_metadata_lives_outside_data_region(self):
-        sim = TimingSimulator(aise_bmt_config())
+        sim = TimingSimulator(MachineConfig.preset("aise+bmt"))
         assert sim._counter_block_addr(0) >= sim.layout.counter_base
         assert sim._mac_block_addr(0) >= sim.layout.mac_base
 
@@ -72,7 +72,7 @@ class TestStatsHygiene:
     def test_metadata_lookups_not_counted_as_demand(self):
         """The reported miss rate is the paper's demand-only local rate."""
         trace = Trace.from_lists([(0, OP_READ, i * 64) for i in range(500)])
-        base = TimingSimulator(baseline_config())
+        base = TimingSimulator(MachineConfig.preset("base"))
         base.run(trace, warmup=0.0)
         mt = TimingSimulator(MachineConfig(encryption="aise", integrity="merkle"))
         result = mt.run(trace, warmup=0.0)
@@ -87,13 +87,13 @@ class TestStatsHygiene:
         assert result.l2_data_fraction + result.l2_merkle_fraction == pytest.approx(1.0, abs=0.02)
 
     def test_zero_length_trace(self):
-        result = TimingSimulator(baseline_config()).run(Trace.from_lists([]), warmup=0.0)
+        result = TimingSimulator(MachineConfig.preset("base")).run(Trace.from_lists([]), warmup=0.0)
         assert result.cycles == 0
         assert result.l2_miss_rate == 0.0
 
     def test_full_warmup_yields_empty_measurement(self):
         trace = Trace.from_lists([(1, OP_READ, 0)] * 100)
-        result = TimingSimulator(baseline_config()).run(trace, warmup=1.0)
+        result = TimingSimulator(MachineConfig.preset("base")).run(trace, warmup=1.0)
         assert result.l2_accesses == 0
         assert result.instructions == 0
 
@@ -106,7 +106,7 @@ class TestCrossConfigInvariants:
         return generate_trace(profile, 15_000, seed=9)
 
     def test_base_has_no_metadata_traffic(self, trace):
-        sim = TimingSimulator(baseline_config())
+        sim = TimingSimulator(MachineConfig.preset("base"))
         sim.run(trace)
         kinds = sim.bus.stats.transfers_by_kind
         assert set(kinds) <= {"data", "data_wb"}
@@ -120,13 +120,13 @@ class TestCrossConfigInvariants:
     def test_demand_misses_identical_for_non_polluting_configs(self, trace):
         """Encryption-only and BMT configs don't perturb the data stream's
         L2 behaviour (counters live in their own cache; MACs uncached)."""
-        base = TimingSimulator(baseline_config()).run(trace)
+        base = TimingSimulator(MachineConfig.preset("base")).run(trace)
         enc = TimingSimulator(MachineConfig(encryption="aise", integrity="none")).run(trace)
         assert enc.l2_misses == base.l2_misses
 
     def test_identical_traces_identical_results(self, trace):
-        a = TimingSimulator(aise_bmt_config()).run(trace)
-        b = TimingSimulator(aise_bmt_config()).run(trace)
+        a = TimingSimulator(MachineConfig.preset("aise+bmt")).run(trace)
+        b = TimingSimulator(MachineConfig.preset("aise+bmt")).run(trace)
         assert a.cycles == b.cycles
         assert a.bus_utilization == b.bus_utilization
 

@@ -71,13 +71,13 @@ class TestDinero:
 
     def test_end_to_end_simulation(self):
         """A Dinero trace drives the simulator through the L1 filter."""
-        from repro.core.config import aise_bmt_config
+        from repro.core.config import MachineConfig
         from repro.sim.simulator import TimingSimulator
 
         lines = "".join(f"0 {i * 64:x}\n" for i in range(2000))
         raw = dinero_from_text(lines)
         l2_trace = filter_through_l1(raw)
-        result = TimingSimulator(aise_bmt_config()).run(l2_trace, warmup=0.0)
+        result = TimingSimulator(MachineConfig.preset("aise+bmt")).run(l2_trace, warmup=0.0)
         assert result.cycles > 0
 
 

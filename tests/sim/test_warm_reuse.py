@@ -12,7 +12,7 @@ Regression tests for two carryover bugs in the timing core:
 
 import pytest
 
-from repro.core.config import CacheConfig, MachineConfig, baseline_config
+from repro.core.config import CacheConfig, MachineConfig
 from repro.mem.bus import MemoryBus
 from repro.sim.simulator import TimingSimulator
 from repro.workloads.spec2k import spec_trace
@@ -32,7 +32,7 @@ class TestBusRebase:
         bus's final run-1 timestamp, inflating cycles by roughly the
         whole previous run."""
         trace = streaming_trace(4000, 4 << 20, seed=5)
-        sim = TimingSimulator(baseline_config())
+        sim = TimingSimulator(MachineConfig.preset("base"))
         first = sim.run(trace, warmup=0.0)
         assert sim.bus.free_at > 0.0  # run 1 left the bus clock advanced
         second = sim.run(trace, warmup=0.0)
@@ -47,10 +47,10 @@ class TestBusRebase:
         trace_a = streaming_trace(3000, 2 << 20, seed=7)
         trace_b = streaming_trace(3000, 2 << 20, seed=8)
 
-        continuous = TimingSimulator(baseline_config())
+        continuous = TimingSimulator(MachineConfig.preset("base"))
         reference = continuous.run(trace_a.concat(trace_b), warmup=0.5)
 
-        sim = TimingSimulator(baseline_config())
+        sim = TimingSimulator(MachineConfig.preset("base"))
         sim.run(trace_a, warmup=0.0)
         replay = sim.run(trace_b, warmup=0.0)
 

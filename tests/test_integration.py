@@ -8,7 +8,6 @@ from repro.core import (
     IntegrityError,
     MachineConfig,
     SecureMemorySystem,
-    aise_bmt_config,
 )
 from repro.core.counters import MINOR_MAX
 from repro.osmodel import Kernel
@@ -113,7 +112,7 @@ class TestHmacBackedMachine:
 
     def test_full_datapath_with_reference_crypto(self):
         machine = SecureMemorySystem(
-            aise_bmt_config(physical_bytes=4 * PAGE_SIZE), fast_crypto=False
+            MachineConfig.preset("aise+bmt", physical_bytes=4 * PAGE_SIZE), fast_crypto=False
         )
         machine.boot()
         machine.write_block(0, b"\x5a" * 64)
@@ -125,7 +124,7 @@ class TestHmacBackedMachine:
     def test_reference_and_fast_crypto_agree_on_semantics(self):
         for fast in (True, False):
             machine = SecureMemorySystem(
-                aise_bmt_config(physical_bytes=4 * PAGE_SIZE), fast_crypto=fast
+                MachineConfig.preset("aise+bmt", physical_bytes=4 * PAGE_SIZE), fast_crypto=fast
             )
             machine.boot()
             machine.write_block(64, b"\x11" * 64)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import baseline_config
+from repro.core.config import MachineConfig
 from repro.sim.simulator import TimingSimulator
 from repro.workloads.spec2k import (
     MEMORY_BOUND,
@@ -49,12 +49,12 @@ class TestCalibrationRegime:
 
     @pytest.mark.parametrize("bench", ["art", "mcf", "swim"])
     def test_memory_bound_miss_above_20pct(self, bench):
-        result = TimingSimulator(baseline_config()).run(spec_trace(bench, 30_000), warmup=0.25)
+        result = TimingSimulator(MachineConfig.preset("base")).run(spec_trace(bench, 30_000), warmup=0.25)
         assert result.l2_miss_rate > 0.20, bench
 
     @pytest.mark.parametrize("bench", ["crafty", "eon", "gzip"])
     def test_resident_miss_below_15pct(self, bench):
-        result = TimingSimulator(baseline_config()).run(spec_trace(bench, 60_000), warmup=0.4)
+        result = TimingSimulator(MachineConfig.preset("base")).run(spec_trace(bench, 60_000), warmup=0.4)
         assert result.l2_miss_rate < 0.15, bench
 
     def test_art_has_large_l2_scale_hot_set(self):
