@@ -77,6 +77,7 @@ class SetAssociativeCache:
         "num_sets",
         "num_lines",
         "_sets",
+        "_pending",
         "_class_lines",
         "_inserts_since_recount",
         "stats",
@@ -94,11 +95,19 @@ class SetAssociativeCache:
         # Each set maps block_index -> (dirty, line_class); OrderedDict keeps
         # LRU order with the most recently used entry last.
         self._sets: list[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        self._pending = None  # a restore_state snapshot not yet built
         self._class_lines: dict[str, int] = {}
         self._inserts_since_recount = 0
         self.stats = CacheStats()
 
     # -- internal helpers ---------------------------------------------------
+
+    def _install(self, sets: list) -> list:
+        """Make ``sets`` the built contents, ending any pending install."""
+        self._sets = sets
+        self._pending = None
+        self.__class__ = SetAssociativeCache
+        return sets
 
     def _set_for(self, block: int) -> OrderedDict:
         return self._sets[block % self.num_sets]
@@ -153,16 +162,32 @@ class SetAssociativeCache:
         lowering evolves a model of this cache off the clock and records
         where every line ended up; installing that snapshot afterwards
         makes warm reuse and the live ``lines.*`` gauges behave exactly
-        as if the per-event engine had run. ``sets`` is one iterable of
-        ``(block, (dirty, line_class))`` items per set, LRU first —
-        the same shape ``OrderedDict(items)`` rebuilds.
+        as if the per-event engine had run. ``sets`` is a sequence with
+        one entry per set, each an iterable of ``(block, (dirty,
+        line_class))`` items, LRU first, or a mapping of them — whatever
+        ``OrderedDict(entry)`` rebuilds.
+
+        The class tallies are copied now, and everything that reads only
+        them (``occupied_lines``, ``lines_of_class``, ``tick_occupancy``)
+        works at once. The sets become a *pending install*: the ``_sets``
+        slot is left unset and the instance becomes a
+        :class:`_PendingInstall` until the first read of ``_sets`` builds
+        it (copied, never shared) and turns it back. That read may come
+        from any operation, the sanitizer's recount, a pickle, or the
+        per-event engine, and none of their code changes. A cold sweep
+        that throws the machine away, or :meth:`clear` before the next
+        run, never builds it, so ``sets`` must stay unchanged afterwards.
+        A second install replaces a pending one.
         """
         if len(sets) != self.num_sets:
             raise ValueError(
                 f"snapshot has {len(sets)} sets, cache has {self.num_sets}"
             )
-        self._sets = [OrderedDict(items) for items in sets]
         self._class_lines = dict(class_lines)
+        if self._pending is None:
+            del self._sets
+            self.__class__ = _PendingInstall
+        self._pending = sets
 
     # -- core operations ----------------------------------------------------
 
@@ -296,8 +321,11 @@ class SetAssociativeCache:
         one — byte-identical results are the contract, so nothing the
         timing model reads may survive.
         """
-        for cache_set in self._sets:
-            cache_set.clear()
+        if self._pending is None:
+            for cache_set in self._sets:
+                cache_set.clear()
+        else:  # drop the pending install unbuilt
+            self._install([OrderedDict() for _ in range(self.num_sets)])
         self._class_lines.clear()
         self._inserts_since_recount = 0
         self.stats = CacheStats()
@@ -328,3 +356,24 @@ class SetAssociativeCache:
         free = self.num_lines - self.occupied_lines
         if free:
             stats.occupancy_by_class[DATA] = stats.occupancy_by_class.get(DATA, 0) + free
+
+
+class _PendingInstall(SetAssociativeCache):
+    """A cache whose sets are a pending install (see ``restore_state``).
+
+    The hook that builds them lives on this subclass so that
+    :class:`SetAssociativeCache` defines no ``__getattr__``: one there
+    would slow every attribute read of every cache, hot paths included.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: the unset ``_sets`` slot.
+        if name != "_sets":
+            raise AttributeError(name)
+        return self._install([OrderedDict(items) for items in self._pending])
+
+    def __reduce_ex__(self, protocol):
+        self._sets  # build: the cache pickles as a plain, built one
+        return self.__reduce_ex__(protocol)

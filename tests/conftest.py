@@ -7,12 +7,17 @@ real tree updates stay fast; the schemes' behaviour is size-independent.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core import MachineConfig, SecureMemorySystem
 from repro.osmodel import Kernel
 
 SMALL = 1 << 20  # 1MB data region
 TINY = 16 * 4096  # 16 pages
+
+# A long run of the properties that opt into it (CI's soak step passes
+# ``--hypothesis-profile=soak``); tier-1 keeps their small budgets.
+settings.register_profile("soak", max_examples=300, deadline=None)
 
 
 def make_machine(encryption="aise", integrity="bonsai", data_bytes=SMALL, **overrides) -> SecureMemorySystem:
