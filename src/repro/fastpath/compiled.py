@@ -10,16 +10,18 @@ timing parameters (latencies, bus speed, issue width, warmup) but never
 feeds back into a single cache decision. :func:`lower` exploits that
 split: it runs the state machine once, off the clock, and records its
 complete observable behaviour as a :class:`CompiledTrace` — per-event
-hit/miss flags, each miss's bus-transfer program (interned patterns of
-transfer kinds), stall and verification markers, per-miss statistics
-deltas, L2 occupancy samples, and the final cache contents.
+hit/miss flags, the interned *key* of each miss, and per key its
+bus-transfer program (an interned pattern of transfer kinds), stall and
+verification markers and statistics deltas; plus L2 occupancy samples
+and the final cache contents.
 
 :func:`execute_compiled` then replays a lowering under any timing
 parameters: a lean sequential loop reproduces the reference clock
 arithmetic operation for operation (float rounding is order-sensitive,
 so the per-event additions are replayed, never re-associated), while
-every order-insensitive statistic settles through NumPy slice sums and
-the owners' batch-credit APIs. Results are byte-identical to the
+every order-insensitive statistic settles as the measured misses' key
+counts times the per-key tables, through the owners' batch-credit APIs.
+Results are byte-identical to the
 reference loop — the committed figure-6 golden and the equivalence
 property tests pin this.
 
@@ -39,7 +41,7 @@ helpers' state transitions to model caches without transliterating the
 per-event engine line by line: it records one interned *key* per miss
 (its transfer kinds plus hit markers), and the staged route maps its
 outcome codes to the same keys, so one assembler (:func:`_assemble`)
-derives both routes' per-miss slots with NumPy.
+derives both routes' per-key tables with NumPy.
 
 The lowering is memoized on the :class:`~repro.sim.trace.Trace` keyed
 by the traffic-shaping geometry, so it is paid once and replayed by
@@ -59,7 +61,7 @@ snapshot only if something touches them (see
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -94,7 +96,7 @@ _KIND_SETTLEMENT = (
     ("mac_wb", (K_MAC_WB,)),
 )
 
-# Columns of the per-miss statistics-delta matrix (metadata traffic
+# Columns of the per-key statistics-delta matrix (metadata traffic
 # only; the demand hit/miss itself is derived from the miss flags).
 _L2H, _L2M, _L2WB = 0, 1, 2
 _CCH, _CCM, _CCWB = 3, 4, 5
@@ -196,9 +198,12 @@ def classification_key(sim, sample_period: int) -> tuple:
 class CompiledTrace:
     """One trace lowered for one traffic-shaping geometry.
 
-    Immutable after :func:`lower` builds it; the per-timing-parameter
-    binding memos (``pres``/``prog``/``busy_per_miss``) cache derived
-    forms keyed by the timing knobs they depend on.
+    Key-indexed: everything a miss does is a property of its interned
+    key, so the artifact holds per-key tables (``key_programs``,
+    ``key_kcounts``, ``key_metas``) and one per-miss slot, ``key_idx``,
+    the key of each miss. Immutable after :func:`lower` builds it; the
+    ``prog`` binding memo caches the replay program per pair of bus
+    transfer durations.
     """
 
     __slots__ = (
@@ -206,59 +211,37 @@ class CompiledTrace:
         "miss_flags",
         "miss_cum",
         "pattern_list",
-        "pat_idx",
-        "cc_stalls",
-        "iflags",
-        "kcounts",
-        "transfers",
-        "metas",
+        "key_idx",
+        "key_programs",
+        "key_kcounts",
+        "key_metas",
         "ticks",
-        "gaps",
         "final_l2",
         "final_cc",
         "final_node",
-        "_pres_memo",
         "_prog_memo",
-        "_busy_memo",
     )
 
-    def __init__(self, n, miss_flags, miss_cum, pattern_list, pat_idx,
-                 cc_stalls, iflags, kcounts, metas, ticks, gaps,
+    def __init__(self, n, miss_flags, miss_cum, pattern_list, key_idx,
+                 key_programs, key_kcounts, key_metas, ticks,
                  final_l2, final_cc, final_node):
         self.n = n
         self.miss_flags = miss_flags
         self.miss_cum = miss_cum
         self.pattern_list = pattern_list
-        self.pat_idx = pat_idx
-        self.cc_stalls = cc_stalls
-        self.iflags = iflags
-        self.kcounts = kcounts
-        self.transfers = kcounts.sum(axis=1, dtype=np.int64)
-        self.metas = metas
+        self.key_idx = key_idx
+        self.key_programs = key_programs
+        self.key_kcounts = key_kcounts
+        self.key_metas = key_metas
         self.ticks = ticks
-        self.gaps = gaps
         self.final_l2 = final_l2
         self.final_cc = final_cc
         self.final_node = final_node
-        self._pres_memo = {}
         self._prog_memo = {}
-        self._busy_memo = {}
 
     @property
     def misses(self) -> int:
-        return len(self.pat_idx)
-
-    def pres(self, issue_width: int) -> list:
-        """Per-event clock increments ``gap / issue`` as Python floats.
-
-        IEEE-754 division of exactly-representable integers matches the
-        reference loop's inline ``gap / issue`` bit for bit.
-        """
-        cached = self._pres_memo.get(issue_width)
-        if cached is None:
-            cached = (self.gaps / issue_width).tolist()
-            self._pres_memo[issue_width] = cached
-        return cached
+        return len(self.key_idx)
 
     def _durations(self, full_dur: int, frac_dur: int) -> tuple:
         durs = [full_dur] * _N_KINDS
@@ -273,7 +256,8 @@ class CompiledTrace:
         fetch, as duration tuples (interned per pattern); ``stall`` marks
         a demand counter-read miss (the counter fetch is then always the
         first rest transfer); ``ifetch`` marks a nonzero integrity fetch
-        count for precise verification.
+        count for precise verification. One tuple is built per key; the
+        list holds, for each miss, its key's tuple.
         """
         key = (full_dur, frac_dur)
         cached = self._prog_memo.get(key)
@@ -281,8 +265,9 @@ class CompiledTrace:
             durs = self._durations(full_dur, frac_dur)
             pattern_durs = [tuple(map(durs.__getitem__, pattern))
                             for pattern in self.pattern_list]
-            cached = list(zip(map(pattern_durs.__getitem__, self.pat_idx),
-                              self.cc_stalls, self.iflags))
+            programs = [(pattern_durs[pattern], stall, ifetch)
+                        for pattern, stall, ifetch in self.key_programs]
+            cached = list(map(programs.__getitem__, self.key_idx.tolist()))
             self._prog_memo[key] = cached
         return cached
 
@@ -303,16 +288,22 @@ class CompiledTrace:
         return (tuple(tuple(OrderedDict(items).items()) for items in sets),
                 dict(class_lines))
 
-    def busy_per_miss(self, full_dur: int, frac_dur: int) -> np.ndarray:
-        """Total bus occupancy cycles of each miss event (int64)."""
-        key = (full_dur, frac_dur)
-        cached = self._busy_memo.get(key)
-        if cached is None:
-            durvec = np.asarray(self._durations(full_dur, frac_dur),
-                                dtype=np.int64)
-            cached = self.kcounts @ durvec
-            self._busy_memo[key] = cached
-        return cached
+    def settle(self, warm_misses: int, full_dur: int, frac_dur: int) -> tuple:
+        """Totals over the misses from ``warm_misses`` on: statistics
+        deltas (``_N_META`` columns), transfer counts by kind and bus
+        busy cycles (an int).
+
+        Every per-miss quantity is a property of the miss's key, so the
+        interval settles as its key counts times the key tables, in
+        integer arithmetic; busy cycles are the kind totals times the
+        kinds' transfer durations.
+        """
+        counts = np.bincount(self.key_idx[warm_misses:],
+                             minlength=len(self.key_programs))
+        kinds = counts @ self.key_kcounts
+        durations = np.asarray(self._durations(full_dur, frac_dur),
+                               dtype=np.int64)
+        return counts @ self.key_metas, kinds, int(kinds @ durations)
 
 
 def lower(sim, trace, sample_period: int) -> CompiledTrace:
@@ -339,7 +330,7 @@ def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
     the clock, on block numbers precomputed with NumPy. Per miss it
     records one interned *key* (see ``_TOKEN_KIND``): the transfer kinds
     in bus order plus markers for node, MAC and counter-cache hits.
-    :func:`_assemble` then derives every per-miss slot from the distinct
+    :func:`_assemble` then derives the per-key tables from the distinct
     keys. The final contents stay in the walk's own sets, which
     ``restore_state`` copies only if a later run touches the cache.
     """
@@ -574,34 +565,27 @@ def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
 
     flags = np.zeros(n, dtype=np.int64)
     flags[miss_events] = 1
-    pattern_list, pat_idx, cc_stalls, iflags, kcounts, metas = _assemble(
-        list(key_ids), np.asarray(key_idx, dtype=np.int64), tree_is_l2)
     return CompiledTrace(
         n=n,
         miss_flags=flags.tolist(),
         miss_cum=np.cumsum(flags),
-        pattern_list=pattern_list,
-        pat_idx=pat_idx,
-        cc_stalls=cc_stalls,
-        iflags=iflags,
-        kcounts=kcounts,
-        metas=metas,
+        **_assemble(list(key_ids), key_idx, tree_is_l2),
         ticks=np.asarray(ticks, dtype=np.int64).reshape(len(ticks), 5),
-        gaps=trace.gaps,
         final_l2=(l2_sets, l2_classes),
         final_cc=(cc_sets, cc_classes),
         final_node=None if node_cache is None else (t_sets, t_classes),
     )
 
 
-def _assemble(keys: list, key_idx: np.ndarray, tree_is_l2: bool) -> tuple:
-    """Every per-miss slot of a lowering from its interned keys.
+def _assemble(keys: list, key_idx, tree_is_l2: bool) -> dict:
+    """The key-indexed slots of a lowering from its interned keys.
 
     ``keys`` holds the distinct keys in first-seen order and ``key_idx``
-    the key of each miss. Each key's transfer pattern, counter stall,
-    integrity-fetch flag, kind counts and statistics deltas are derived
-    once, then gathered per miss. Patterns are interned in first-seen
-    order too: keys that differ only in markers share one.
+    the key of each miss, which is kept as the one per-miss slot (int64).
+    Each key's transfer pattern, counter stall, integrity-fetch flag,
+    kind counts and statistics deltas are derived once and stay per key.
+    Patterns are interned in first-seen order too: keys that differ only
+    in markers share one.
     """
     lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
     tokens = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
@@ -612,24 +596,24 @@ def _assemble(keys: list, key_idx: np.ndarray, tree_is_l2: bool) -> tuple:
                          ).reshape(len(keys), _N_TOKENS)
     key_kcounts = counts @ _TOKEN_KCOUNTS
     key_kcounts[:, K_DATA] += 1  # the demand fetch
-    key_metas = counts @ _TOKEN_METAS[tree_is_l2]
 
     patterns: dict = {}
-    key_pattern = []
+    key_programs = []
     for key in keys:
         pattern = tuple([kind for kind in map(_TOKEN_KIND.__getitem__, key)
                          if kind is not None])
-        key_pattern.append(patterns.setdefault(pattern, len(patterns)))
-    # The demand counter read comes first, so a miss stalls on the
-    # counter fetch exactly when its key opens with one.
-    key_stall = [1 if key and key[0] == K_COUNTER else 0 for key in keys]
-    key_ifetch = [1 if _T_IFETCH in key else 0 for key in keys]
-
-    def per_miss(values) -> list:
-        return np.asarray(values, dtype=np.int64)[key_idx].tolist()
-
-    return (list(patterns), per_miss(key_pattern), per_miss(key_stall),
-            per_miss(key_ifetch), key_kcounts[key_idx], key_metas[key_idx])
+        # The demand counter read comes first, so a miss stalls on the
+        # counter fetch exactly when its key opens with one.
+        key_programs.append((patterns.setdefault(pattern, len(patterns)),
+                             1 if key and key[0] == K_COUNTER else 0,
+                             1 if _T_IFETCH in key else 0))
+    return dict(
+        pattern_list=list(patterns),
+        key_idx=np.asarray(key_idx, dtype=np.int64),
+        key_programs=key_programs,
+        key_kcounts=key_kcounts,
+        key_metas=counts @ _TOKEN_METAS[tree_is_l2],
+    )
 
 
 def l2_holds_only_data(sim) -> bool:
@@ -873,8 +857,6 @@ def lower_staged(sim, trace, sample_period: int) -> CompiledTrace:
     intern = np.zeros(_S_CODES, dtype=np.int64)
     intern[in_order] = np.arange(len(in_order))
     keys = [_staged_key(code, uses_cc, mac_reads) for code in in_order.tolist()]
-    pattern_list, pat_idx, cc_stalls, iflags, kcounts, metas = _assemble(
-        keys, intern[codes], True)
 
     flags = np.zeros(n, dtype=np.int64)
     flags[miss_events] = 1
@@ -885,14 +867,8 @@ def lower_staged(sim, trace, sample_period: int) -> CompiledTrace:
         n=n,
         miss_flags=flags.tolist(),
         miss_cum=np.cumsum(flags),
-        pattern_list=pattern_list,
-        pat_idx=pat_idx,
-        cc_stalls=cc_stalls,
-        iflags=iflags,
-        kcounts=kcounts,
-        metas=metas,
+        **_assemble(keys, intern[codes], True),
         ticks=ticks,
-        gaps=trace.gaps,
         final_l2=PackedSets(stage.contents, DATA).snapshot(),
         final_cc=final_cc,
         final_node=(None if node_cache is None else
@@ -946,11 +922,12 @@ def ineligibility(sim, trace) -> str | None:
     return None
 
 
-def _run_segment(pres, mflags, prog, i0, i1, mp, now, bf, queue, exposed,
+def _run_segment(events, prog, mp, now, bf, queue, exposed,
                  full_dur, mem_latency, aes_latency, mac_latency,
                  hit_latency, overlap, uses_cc, serial_decrypt,
                  verify_on_path):
-    """Replay events ``[i0, i1)``: the reference clock arithmetic, lean.
+    """Replay ``events``, an iterator of ``(clock increment, miss flag)``
+    pairs: the reference clock arithmetic, lean.
 
     Every float operation matches the reference loop's in kind and
     order. Bus transfers after an event's demand fetch are back-to-back
@@ -958,7 +935,7 @@ def _run_segment(pres, mflags, prog, i0, i1, mp, now, bf, queue, exposed,
     start cycles read straight from the running ``bf`` — the same values
     ``MemoryBus.request`` would return, without the branch.
     """
-    for pre, mf in zip(pres[i0:i1], mflags[i0:i1]):
+    for pre, mf in events:
         now += pre
         if mf:
             rest, stall_flag, ifetch = prog[mp]
@@ -1018,9 +995,7 @@ def execute_compiled(sim, trace, warmup: float, sample_period: int):
     full_dur = max(1, round(cycles_per_block * 1.0))
     mac_frac_dur = max(1, round(cycles_per_block * (mac_bytes / BLOCK_SIZE)))
 
-    pres = artifact.pres(sim.issue_width)
     prog = artifact.prog(full_dur, mac_frac_dur)
-    mflags = artifact.miss_flags
     m = artifact.misses
 
     warm_events = int(n * warmup)
@@ -1031,8 +1006,11 @@ def execute_compiled(sim, trace, warmup: float, sample_period: int):
     else:
         warm_misses = 0
 
+    # One pass over the events: the warmup segment takes the first
+    # ``boundary`` pairs and the measured one the rest.
+    events = zip(trace.pres(sim.issue_width), artifact.miss_flags)
     mp, now, bf, queue, exposed = _run_segment(
-        pres, mflags, prog, 0, boundary, 0, 0.0, bus._free_at, 0.0, 0.0,
+        islice(events, boundary), prog, 0, 0.0, bus._free_at, 0.0, 0.0,
         full_dur, sim.mem_latency, sim.aes_latency, sim.mac_latency,
         sim.l2_hit_latency, sim.overlap, sim.uses_counter_cache,
         sim._serial_decrypt, sim._verify_on_path,
@@ -1042,7 +1020,7 @@ def execute_compiled(sim, trace, warmup: float, sample_period: int):
     exposed = 0.0
     if not degenerate:
         mp, now, bf, queue, exposed = _run_segment(
-            pres, mflags, prog, boundary, n, mp, now, bf, queue, exposed,
+            events, prog, mp, now, bf, queue, exposed,
             full_dur, sim.mem_latency, sim.aes_latency, sim.mac_latency,
             sim.l2_hit_latency, sim.overlap, sim.uses_counter_cache,
             sim._serial_decrypt, sim._verify_on_path,
@@ -1056,11 +1034,12 @@ def execute_compiled(sim, trace, warmup: float, sample_period: int):
     else:
         measured_events = n - warm_events
         measured_instructions = (
-            int(artifact.gaps[warm_events:].sum(dtype=np.int64))
+            int(trace.gaps[warm_events:].sum(dtype=np.int64))
             + measured_events
         )
     measured_misses = m - warm_misses
-    meta = artifact.metas[warm_misses:].sum(axis=0)
+    meta, kind_totals, busy = artifact.settle(warm_misses, full_dur,
+                                              mac_frac_dur)
     demand_hits = measured_events - measured_misses
     l2.credit_demand(
         demand_hits + int(meta[_L2H]),
@@ -1073,16 +1052,12 @@ def execute_compiled(sim, trace, warmup: float, sample_period: int):
         node_cache.credit_demand(int(meta[_TH]), int(meta[_TM]),
                                  int(meta[_TWB]))
 
-    kind_totals = artifact.kcounts[warm_misses:].sum(axis=0)
     by_kind = {}
     for name, codes in _KIND_SETTLEMENT:
         count = int(sum(kind_totals[code] for code in codes))
         if count:
             by_kind[name] = count
-    transfers = int(artifact.transfers[warm_misses:].sum())
-    busy = float(int(artifact.busy_per_miss(full_dur, mac_frac_dur)
-                     [warm_misses:].sum()))
-    bus.credit(transfers, busy, queue, by_kind, bf)
+    bus.credit(int(kind_totals.sum()), float(busy), queue, by_kind, bf)
 
     tick0 = warm_events // sample_period
     measured_ticks = artifact.ticks[tick0:]

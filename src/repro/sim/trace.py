@@ -110,9 +110,26 @@ class Trace:
             self.__dict__["_decoded"] = cached
         return cached
 
+    def pres(self, issue_width: int) -> list:
+        """Per-event clock increments ``gap / issue_width`` as Python
+        floats, memoized per issue width.
+
+        They depend only on the trace, so every compiled replay of it
+        shares them whatever its lowering. IEEE-754 division of
+        exactly-representable integers matches the reference loop's
+        inline ``gap / issue`` bit for bit. Dropped on pickling, like
+        the other memos.
+        """
+        memo = self.__dict__.setdefault("_pres", {})
+        cached = memo.get(issue_width)
+        if cached is None:
+            cached = memo[issue_width] = (self.gaps / issue_width).tolist()
+        return cached
+
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_decoded", None)
+        state.pop("_pres", None)
         state.pop("_compiled", None)  # lowerings rebuild cheaply in-process
         state.pop("_l2_stage", None)  # and so does the staged lowering's L2
         return state

@@ -11,9 +11,11 @@ warm reuse (where the compiled path must bow out), and under the armed
 sanitizer; plus the security half — tampering still raises with the
 compiled gate forced on. The staged (set-parallel) lowering is pinned
 slot for slot against the sequential one it replaces for schemes whose
-L2 holds only demand data. A differential property crosses the
-sequential lowering and the deferred cache install with the reference
-loop on generated traces, through a warm second run.
+L2 holds only demand data. The key-indexed artifact's settlement is
+pinned against a per-miss reconstruction. Differential properties cross
+the lowering and the deferred cache install with the reference loop on
+generated traces, through a warm second run and through ``reset_cold``
+reuse.
 """
 
 import dataclasses
@@ -179,9 +181,11 @@ class TestEdges:
         run_compiled(MachineConfig.preset("aise"), trace)
         assert "_compiled" in trace.__dict__
         assert compiled.L2_STAGE_MEMO in trace.__dict__  # aise lowers staged
+        assert "_pres" in trace.__dict__
         clone = pickle.loads(pickle.dumps(trace))
         assert "_compiled" not in clone.__dict__
         assert compiled.L2_STAGE_MEMO not in clone.__dict__
+        assert "_pres" not in clone.__dict__
         assert clone.digest() == trace.digest()
 
 
@@ -293,7 +297,8 @@ class TestStagedLowering:
         for config in staged_configs(**_SMALL):
             staged, sequential = both_lowerings(config, trace)
             assert_same_lowering(staged, sequential)
-            assert int(staged.metas[:, compiled._L2WB].sum()) > 0
+            assert int(staged.key_metas[staged.key_idx,
+                                        compiled._L2WB].sum()) > 0
 
     @pytest.mark.parametrize("events", [10, 5 * _OCCUPANCY_SAMPLE_PERIOD + 17])
     def test_partial_sample_periods(self, events):
@@ -335,6 +340,71 @@ class TestStagedLowering:
         assert len(trace.__dict__[compiled.L2_STAGE_MEMO]) == 1
 
 
+# -- the key-indexed artifact -------------------------------------------------
+
+def lowered_both_ways(trace, overrides=_SMALL):
+    """Lowerings of ``trace`` by both routes: an encryption-only scheme
+    staged and sequentially, and a tree scheme's walk."""
+    staged, sequential = both_lowerings(
+        MachineConfig.preset("aise", **overrides), trace)
+    tree = compiled.lower_sequential(
+        TimingSimulator(MachineConfig.preset("aise+bmt", **overrides)),
+        trace, _OCCUPANCY_SAMPLE_PERIOD)
+    return staged, sequential, tree
+
+
+class TestKeyIndexedArtifact:
+    @settings(max_examples=30, deadline=None)
+    @given(trace=small_traces(), durations=st.sampled_from([(8, 1), (17, 3)]),
+           data=st.data())
+    def test_settlement_equals_a_per_miss_reconstruction(self, trace,
+                                                          durations, data):
+        """Key counts times key tables == the per-miss rows summed."""
+        full_dur, frac_dur = durations
+        for artifact in lowered_both_ways(trace):
+            warm = data.draw(st.integers(0, artifact.misses))
+            meta, kinds, busy = artifact.settle(warm, full_dur, frac_dur)
+            measured = artifact.key_idx[warm:]
+            expected_meta = artifact.key_metas[measured].sum(axis=0)
+            expected_kinds = artifact.key_kcounts[measured].sum(axis=0)
+            assert meta.dtype == kinds.dtype == np.int64
+            assert np.array_equal(meta, expected_meta)
+            assert np.array_equal(kinds, expected_kinds)
+            durs = np.asarray(artifact._durations(full_dur, frac_dur))
+            assert busy == int((artifact.key_kcounts[measured] @ durs).sum())
+
+    @settings(max_examples=20, deadline=None)
+    @given(trace=small_traces())
+    def test_prog_entries_of_equal_keys_are_one_object(self, trace):
+        for artifact in lowered_both_ways(trace):
+            prog = artifact.prog(8, 1)
+            assert len(prog) == artifact.misses
+            durs = artifact._durations(8, 1)
+            first: dict = {}
+            for entry, key in zip(prog, artifact.key_idx.tolist()):
+                assert entry is first.setdefault(key, entry)
+            for key, entry in first.items():
+                pattern, stall, ifetch = artifact.key_programs[key]
+                assert entry == (
+                    tuple(durs[kind] for kind in artifact.pattern_list[pattern]),
+                    stall, ifetch)
+
+    def test_key_idx_is_the_only_per_miss_slot(self):
+        """The footprint guard: every other slot is per key, per event,
+        per occupancy sample or the final contents."""
+        trace = random_trace(events=3000, seed=31)
+        for artifact in lowered_both_ways(trace, overrides={}):
+            m = artifact.misses
+            # No other slot can be this long by coincidence.
+            assert len(artifact.key_programs) < m < artifact.n
+            assert len(artifact.ticks) < m
+            sized = [slot for slot in compiled.CompiledTrace.__slots__
+                     if not slot.startswith("_")
+                     and hasattr(getattr(artifact, slot), "__len__")]
+            assert [slot for slot in sized
+                    if len(getattr(artifact, slot)) == m] == ["key_idx"]
+
+
 # -- the differential property ------------------------------------------------
 
 # Tier-1 runs a small example budget; CI's soak step loads the ``soak``
@@ -349,9 +419,9 @@ _CACHES = {
 }
 
 
-def sequential_configs(caches: str, cached_macs: bool):
-    """Every registry-valid pair whose L2 holds metadata or that has a
-    node cache, under one cache shape."""
+def registry_configs(caches: str, cached_macs: bool):
+    """Every registry-valid pair under one cache shape, with a
+    simulator built from it."""
     overrides = dict(_CACHES[caches])
     if cached_macs:
         overrides["cache_data_macs"] = True
@@ -363,8 +433,15 @@ def sequential_configs(caches: str, cached_macs: bool):
                 sim = TimingSimulator(config)
             except ConfigurationError:
                 continue
-            if not compiled.l2_holds_only_data(sim) or sim.node_cache is not None:
-                yield config
+            yield config, sim
+
+
+def sequential_configs(caches: str, cached_macs: bool):
+    """Every registry-valid pair whose L2 holds metadata or that has a
+    node cache, under one cache shape."""
+    for config, sim in registry_configs(caches, cached_macs):
+        if not compiled.l2_holds_only_data(sim) or sim.node_cache is not None:
+            yield config
 
 
 class TestDifferential:
@@ -395,6 +472,46 @@ class TestDifferential:
             assert as_fields(comp[1]) == as_fields(ref[1]), config
             checked += 1
         assert checked >= 20
+
+    @_DIFFERENTIAL
+    @given(trace=small_traces(), caches=st.sampled_from(sorted(_CACHES)),
+           cached_macs=st.booleans(), first=st.sampled_from([0.0, 0.3]),
+           second=st.sampled_from([0.0, 0.5, 1.0]),
+           overlap=st.sampled_from([0.25, 1.0]))
+    def test_reset_cold_replays_the_memoized_binding(
+            self, trace, caches, cached_macs, first, second, overlap):
+        """Compiled, ``reset_cold()``, compiled again on one machine.
+
+        The warm-pool path: the second run replays the lowering, the
+        ``prog`` binding and the trace's ``pres`` memoized by the first,
+        at a new warmup and stall overlap. Each run must equal the
+        reference loop on a fresh machine. Every registry-valid pair
+        takes part, staged and sequential routes alike.
+        """
+        checked = 0
+        for config, comp_sim in registry_configs(caches, cached_macs):
+            with fastpath.forced(False):
+                ref = [TimingSimulator(config).run(
+                           trace, warmup=first, collect_metrics=True),
+                       TimingSimulator(config, overlap=overlap).run(
+                           trace, warmup=second, collect_metrics=True)]
+            with fastpath.forced(True), fastpath.forced_compiled(True):
+                comp = [comp_sim.run(trace, warmup=first,
+                                     collect_metrics=True)]
+                telemetry = comp_sim.engine_telemetry
+                hits = telemetry.lowering_hits
+                comp_sim.reset_cold()
+                comp_sim.overlap = overlap
+                comp.append(comp_sim.run(trace, warmup=second,
+                                         collect_metrics=True))
+            if telemetry.compiled:
+                # Both runs replayed; the second found the memoized lowering.
+                assert telemetry.compiled == 2
+                assert telemetry.lowering_hits == hits + 1
+            assert as_fields(comp[0]) == as_fields(ref[0]), config
+            assert as_fields(comp[1]) == as_fields(ref[1]), config
+            checked += 1
+        assert checked >= 30
 
 
 class TestSecurityPath:
