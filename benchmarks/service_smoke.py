@@ -9,9 +9,9 @@ drives it the way CI wants to see it survive:
   ``--out`` — which must byte-diff clean against the committed
   figure-6 golden (``benchmarks/golden/figure6-events30000.json`` when
   run at ``--events 30000``).
-* tenant ``bob`` concurrently sweeps an overlapping subset on the
-  warm single-machine path; every one of bob's cells must equal
-  alice's copy of the same cell.
+* tenant ``bob`` concurrently sweeps an overlapping subset with
+  ``workers=1`` (the serial ``run_cells`` path, in a server thread);
+  every one of bob's cells must equal alice's copy of the same cell.
 * alice's progress stream must validate as a well-formed per-job
   fleet record stream.
 

@@ -589,8 +589,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="(sweep) MAC-size overrides")
     p.add_argument("--events", type=int, default=60_000)
     p.add_argument("--workers", type=int, default=1,
-                   help="(sweep) 1 = warm single-machine path, >1 or 0 = "
-                        "server-side process pool")
+                   help="(sweep) 1 = serial, >1 or 0 = process pool, "
+                        "as in 'repro sweep', run server-side")
     p.add_argument("--metrics", action="store_true",
                    help="attach per-cell metrics-registry snapshots")
     p.add_argument("--overlap", type=float, default=0.7)

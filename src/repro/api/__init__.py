@@ -238,6 +238,42 @@ def precompile(workload, config="aise+bmt", *, events: int = 60_000) -> dict:
     }
 
 
+def _sweep_axes(configs=None, benchmarks=None) -> tuple[tuple, tuple]:
+    """Validate a sweep's (labels, benchmarks); ``None`` means all.
+
+    Canonical labels pass as-is; anything else must be a registry-valid
+    ``encryption[+integrity]`` preset (e.g. ``aise+bmt_lazy``, or a
+    registered third-party scheme pair). Unknown labels or benchmarks
+    raise ValueError. :func:`sweep` and the service's ``sweep`` op share
+    this check, so both answer a bad knob with the same message.
+    """
+    from ..evalx.runner import CONFIGS
+    from ..workloads.spec2k import SPEC2K_BENCHMARKS
+
+    labels = tuple(configs) if configs else tuple(CONFIGS)
+    unknown = []
+    for label in labels:
+        if label in CONFIGS:
+            continue
+        try:
+            MachineConfig.preset(label)
+        except ConfigurationError:
+            unknown.append(label)
+    if unknown:
+        raise ValueError(
+            f"unknown configs {unknown}; choose a canonical label "
+            f"({', '.join(CONFIGS)}) or any registered "
+            "'<encryption>[+<integrity>]' pair"
+        )
+    benches = tuple(benchmarks) if benchmarks else SPEC2K_BENCHMARKS
+    unknown = [b for b in benches if b not in SPEC2K_BENCHMARKS]
+    if unknown:
+        raise ValueError(
+            f"unknown benchmarks {unknown}; choose from {', '.join(SPEC2K_BENCHMARKS)}"
+        )
+    return labels, benches
+
+
 @dataclass
 class SweepRun:
     """A completed configuration sweep: the grid plus its provenance."""
@@ -302,34 +338,10 @@ def sweep(
     grid, its payload, and every cache record are byte-identical with
     them on or off.
     """
-    from ..evalx.runner import CONFIGS, Runner
+    from ..evalx.runner import Runner
     from ..obs.fleet import FleetCollector, ProgressStream
-    from ..workloads.spec2k import SPEC2K_BENCHMARKS
 
-    labels = tuple(configs) if configs else tuple(CONFIGS)
-    # Canonical labels pass as-is; anything else must be a registry-valid
-    # ``encryption[+integrity]`` preset (e.g. aise+bmt_lazy, or a
-    # registered third-party scheme pair).
-    unknown = []
-    for label in labels:
-        if label in CONFIGS:
-            continue
-        try:
-            MachineConfig.preset(label)
-        except ConfigurationError:
-            unknown.append(label)
-    if unknown:
-        raise ValueError(
-            f"unknown configs {unknown}; choose a canonical label "
-            f"({', '.join(CONFIGS)}) or any registered "
-            "'<encryption>[+<integrity>]' pair"
-        )
-    benches = tuple(benchmarks) if benchmarks else SPEC2K_BENCHMARKS
-    unknown = [b for b in benches if b not in SPEC2K_BENCHMARKS]
-    if unknown:
-        raise ValueError(
-            f"unknown benchmarks {unknown}; choose from {', '.join(SPEC2K_BENCHMARKS)}"
-        )
+    labels, benches = _sweep_axes(configs, benchmarks)
     runner = Runner(
         events=events,
         benchmarks=benches,

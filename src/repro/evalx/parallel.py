@@ -271,6 +271,28 @@ def _worker_cache_delta(root: str) -> dict:
     return delta
 
 
+def _simulate(trace, config: MachineConfig, label: str, overlap: float,
+              warmup: float, metrics: bool,
+              capture: bool) -> tuple[SimResult, dict | None]:
+    """Simulate one cell on a fresh machine — the one place a pool
+    worker and the serial path both run a cell. With ``capture`` it
+    also returns the cell's fleet record (registry snapshot, engine
+    attribution, wall/CPU timings); the SimResult is the same either way.
+    """
+    sim = TimingSimulator(config, overlap=overlap)
+    t_start = time.time()
+    p_start = time.perf_counter()
+    c_start = time.process_time()
+    result = sim.run(trace, label=label, warmup=warmup, collect_metrics=metrics)
+    record = None
+    if capture:
+        record = fleet_obs.capture_cell(sim)
+        record.update(wall_s=time.perf_counter() - p_start,
+                      cpu_s=time.process_time() - c_start,
+                      t_start=t_start, t_end=time.time())
+    return result, record
+
+
 def _simulate_cell(payload: tuple) -> dict:
     """Worker entry point: resolve one cell, return a result envelope.
 
@@ -305,27 +327,37 @@ def _simulate_cell(payload: tuple) -> dict:
             out["cached"] = True
             out["cache"] = _worker_cache_delta(cache_root)
             return out
-    trace = _worker_trace(bench, events)
-    sim = TimingSimulator(config, overlap=overlap)
-    t_start = time.time()
-    p_start = time.perf_counter()
-    c_start = time.process_time()
-    result = sim.run(trace, label=label, warmup=warmup, collect_metrics=metrics)
-    wall_s = time.perf_counter() - p_start
-    cpu_s = time.process_time() - c_start
-    t_end = time.time()
+    result, out["capture"] = _simulate(
+        _worker_trace(bench, events), config, label, overlap, warmup,
+        metrics, capture,
+    )
     if cache is not None:
         cache.put(key, result, Cell(bench, label, config, mac_bits))
         out["cache"] = _worker_cache_delta(cache_root)
-    if capture:
-        record = fleet_obs.capture_cell(sim)
-        record.update(wall_s=wall_s, cpu_s=cpu_s, t_start=t_start, t_end=t_end)
-        out["capture"] = record
     out["result"] = result.to_dict()
     return out
 
 
 # -- the persistent cache -----------------------------------------------------
+
+
+def _writer_alive(tmp_name: str) -> bool:
+    """Whether the process that made a ``<pid>-*.tmp`` file still runs.
+
+    Untagged names have no known writer and count as orphans. A reused
+    pid keeps a dead writer's file until that pid exits too — a leak of
+    one temp file, never a deleted live write.
+    """
+    pid = tmp_name.partition("-")[0]
+    if not pid.isdigit() or int(pid) == 0:
+        return False
+    try:
+        os.kill(int(pid), 0)  # signal 0: an existence check, sends nothing
+    except PermissionError:
+        return True  # alive, owned by another user
+    except (OSError, OverflowError):
+        return False
+    return True
 
 
 class ResultCache:
@@ -356,9 +388,11 @@ class ResultCache:
         # A worker killed between mkstemp and os.replace leaves its temp
         # file behind; nothing ever references one again, so sweep them
         # here. Records themselves are immune — the rename is atomic.
+        # Temp names carry the writer's pid: a live writer's file is
+        # mid-put (by another thread or process) and stays.
         self.stale_tmp = 0
         for name in os.listdir(root):
-            if name.endswith(".tmp"):
+            if name.endswith(".tmp") and not _writer_alive(name):
                 try:
                     os.remove(os.path.join(root, name))
                 except OSError:
@@ -416,7 +450,8 @@ class ResultCache:
             # Human-readable provenance; not part of the key.
             record["cell"] = {"bench": cell.bench, "label": cell.label,
                               "mac_bits": cell.mac_bits}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f"{os.getpid()}-",
+                                   suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
                 json.dump(record, f, sort_keys=True)
@@ -616,20 +651,8 @@ def run_cells(
         account(cell, source, capture_rec)
 
     def serial(cell: Cell) -> tuple[SimResult, dict | None]:
-        trace = provider(cell.bench)
-        sim = TimingSimulator(cell.config, overlap=overlap)
-        t_start = time.time()
-        p_start = time.perf_counter()
-        c_start = time.process_time()
-        result = sim.run(trace, label=cell.label, warmup=warmup,
-                         collect_metrics=metrics)
-        capture_rec = None
-        if capture:
-            capture_rec = fleet_obs.capture_cell(sim)
-            capture_rec.update(wall_s=time.perf_counter() - p_start,
-                               cpu_s=time.process_time() - c_start,
-                               t_start=t_start, t_end=time.time())
-        return result, capture_rec
+        return _simulate(provider(cell.bench), cell.config, cell.label,
+                         overlap, warmup, metrics, capture)
 
     def finalize() -> None:
         wall = time.perf_counter() - start

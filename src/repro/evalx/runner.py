@@ -45,6 +45,18 @@ def config_named(label: str, mac_bits: int | None = None) -> MachineConfig:
     return config
 
 
+def grid_cells(labels, mac_bits, benchmarks) -> list[Cell]:
+    """The cells of a (label x mac_bits x benchmark) grid, label-major:
+    the order a sweep simulates them and streams their progress in."""
+    return [
+        Cell(bench=bench, label=label, mac_bits=bits,
+             config=config_named(label, bits))
+        for label in labels
+        for bits in mac_bits
+        for bench in benchmarks
+    ]
+
+
 @dataclass
 class Runner:
     """Memoizing simulation driver over the registry configurations.
@@ -85,17 +97,13 @@ class Runner:
             cached = self._traces[bench] = spec_trace(bench, self.events)
         return cached
 
-    def _cell(self, bench: str, label: str, mac_bits: int | None = None) -> Cell:
-        return Cell(bench=bench, label=label, mac_bits=mac_bits,
-                    config=config_named(label, mac_bits))
-
     def result(self, bench: str, label: str, mac_bits: int | None = None) -> SimResult:
         """Simulate (benchmark, configuration) once; memoized thereafter."""
         key = (bench, label, mac_bits)
         cached = self._results.get(key)
         if cached is None:
             computed = run_cells(
-                [self._cell(bench, label, mac_bits)],
+                grid_cells([label], [mac_bits], [bench]),
                 events=self.events,
                 workers=1,  # a single cell gains nothing from a pool
                 cache=self._cache,
@@ -132,14 +140,8 @@ class Runner:
         """
         labels = tuple(labels) if labels is not None else tuple(CONFIGS)
         benchmarks = tuple(benchmarks) if benchmarks is not None else self.benchmarks
-        cells = [
-            self._cell(bench, label, bits)
-            for label in labels
-            for bits in mac_bits
-            for bench in benchmarks
-        ]
         computed = run_cells(
-            cells,
+            grid_cells(labels, mac_bits, benchmarks),
             events=self.events,
             workers=self.workers if workers is None else workers,
             cache=self._cache,

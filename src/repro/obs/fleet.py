@@ -529,7 +529,7 @@ def validate_progress_records(records) -> list[str]:
     Beyond per-record shape: sequence numbers contiguous from 0, the
     stream opens with ``sweep_begin`` and closes with ``sweep_end``,
     ``cell_done.done`` counts 1..total exactly once each, and every
-    done cell is attributed to a known engine.
+    done cell is attributed to a known engine and source.
     """
     problems: list[str] = []
     records = list(records)
@@ -564,6 +564,11 @@ def validate_progress_records(records) -> list[str]:
                 problems.append(
                     f"{where}: engine {record.get('engine')!r} "
                     f"not in {CELL_ENGINES}"
+                )
+            if record.get("source") not in CELL_SOURCES:
+                problems.append(
+                    f"{where}: source {record.get('source')!r} "
+                    f"not in {CELL_SOURCES}"
                 )
     if records[0].get("event") != "sweep_begin":
         problems.append("stream does not open with sweep_begin")

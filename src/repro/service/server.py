@@ -16,19 +16,22 @@ sent ``subscribe`` additionally receives ``event`` envelopes — fleet
 progress records from *every* running job, tagged with job id and
 tenant so clients filter for their own — interleaved between responses.
 
-Serving a cell walks the tiers cheapest-first, under single-flight so
-concurrent identical requests cost one computation:
+Serving a ``simulate`` cell walks the tiers cheapest-first, under
+single-flight so concurrent identical requests cost one computation:
 
 1. **lru** — the in-memory tier, wire-ready dicts at memory speed;
 2. **disk** — the shared on-disk result cache (same key string);
 3. **warm**/**cold** — simulate on a pooled (cold-reset) or freshly
    built machine, then fill both tiers.
 
-Grid sweeps with ``workers > 1`` hand the whole grid to the
-:func:`~repro.evalx.parallel.run_cells` process-pool engine instead —
-the same engine the CLI uses, so per-cell results are byte-identical to
-a cold ``repro sweep`` by the repo's parallel-equivalence invariant;
-the LRU tier is back-filled from the returned grid either way. That
+A ``sweep`` is ``repro sweep`` run server-side: the whole grid goes to
+:func:`~repro.evalx.parallel.run_cells` in a worker thread — serial at
+``workers=1``, on a process pool otherwise — with the disk tier and the
+shared trace store, so per-cell results are byte-identical to a cold
+``repro sweep`` by construction. A sweep reads neither the LRU tier nor
+the warm pool (a fresh machine per cell costs ~1 ms against tens of ms
+of simulation); it back-fills the LRU tier from the returned grid, so
+later ``simulate`` requests for swept cells answer from memory. That
 byte-identity is the service's contract (the ``service-smoke`` CI job
 diffs a socket-served sweep against the committed figure-6 golden), and
 it is why the warm pool resets machines to cold between tenants rather
@@ -44,12 +47,11 @@ import itertools
 import os
 import time
 
-from ..api import schema
+from ..api import SweepRun, _sweep_axes, schema
 from ..core.config import ConfigurationError, MachineConfig
-from ..evalx.parallel import Cell, ResultCache, run_cells
-from ..evalx.runner import CONFIGS, config_named
+from ..evalx.parallel import ResultCache, run_cells
+from ..evalx.runner import config_named, grid_cells
 from ..obs.fleet import CallbackProgressSink, ProgressStream
-from ..workloads.spec2k import SPEC2K_BENCHMARKS
 from .cache import LruResultTier, SingleFlight
 from .warmpool import TraceStore, WarmMachinePool
 
@@ -57,6 +59,29 @@ from .warmpool import TraceStore, WarmMachinePool
 # names a few dozen configs), so a modest line limit contains a
 # misbehaving client. Responses go out through the writer unbounded.
 _READ_LIMIT = 1 << 22
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line; ``b""`` at end of stream.
+
+    A line longer than ``_READ_LIMIT`` is read through its newline and
+    dropped, returning None, so the connection stays in step for the
+    next request (``readline`` would raise ValueError and could leave
+    the line's tail in the stream).
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # a last line without a newline, or b"" at EOF
+    except asyncio.LimitOverrunError as exc:
+        overrun = exc.consumed
+    while True:
+        await reader.readexactly(overrun)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.LimitOverrunError as exc:
+            overrun = exc.consumed
 
 
 def default_sim_slots() -> int:
@@ -111,6 +136,8 @@ class SweepService:
         self.started = time.perf_counter()
         self.requests = 0
         self.errors = 0
+        # simulate answers by tier; "pool" counts cells answered by a
+        # grid sweep, whatever its worker count.
         self.served = {"lru": 0, "disk": 0, "warm": 0, "cold": 0, "pool": 0}
 
     # -- lifecycle -----------------------------------------------------------
@@ -143,18 +170,21 @@ class SweepService:
         pump = asyncio.ensure_future(self._pump_outbox(conn))
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
                 self.requests += 1
                 try:
+                    if line is None:
+                        raise schema.SchemaError(
+                            f"request line exceeds the {_READ_LIMIT}-byte limit")
                     request = schema.request_from_wire(schema.wire_decode(line.decode()))
                     response = await self._dispatch(conn, request)
                 except (schema.SchemaError, ConfigurationError, ValueError) as exc:
                     self.errors += 1
                     response = schema.error_envelope(str(exc))
                 conn.send(response)
-        except (ConnectionResetError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
             # Loop teardown (shutdown request) cancels connection tasks
@@ -285,144 +315,58 @@ class SweepService:
 
     async def _sweep(self, conn: _Connection,
                      request: schema.SweepRequest) -> schema.Envelope:
-        labels = tuple(request.configs) if request.configs else tuple(CONFIGS)
-        unknown = []
-        for label in labels:
-            if label in CONFIGS:
-                continue
-            try:
-                MachineConfig.preset(label)
-            except ConfigurationError:
-                unknown.append(label)
-        if unknown:
-            raise schema.SchemaError(
-                f"unknown configs {unknown}; choose a canonical label "
-                f"({', '.join(CONFIGS)}) or any registered "
-                "'<encryption>[+<integrity>]' pair"
-            )
-        benches = tuple(request.benchmarks) if request.benchmarks else SPEC2K_BENCHMARKS
-        unknown = [b for b in benches if b not in SPEC2K_BENCHMARKS]
-        if unknown:
-            raise schema.SchemaError(
-                f"unknown benchmarks {unknown}; choose from "
-                f"{', '.join(SPEC2K_BENCHMARKS)}"
-            )
+        """The whole grid through ``run_cells`` in a worker thread — the
+        engine behind ``repro sweep``, serial at ``workers=1`` and pooled
+        otherwise — over the shared disk tier and trace store."""
+        labels, benches = _sweep_axes(request.configs, request.benchmarks)
         job = next(self._jobs)
         loop = asyncio.get_running_loop()
         tenant = conn.tenant
 
         def forward(record: dict) -> None:
-            # Warm-path emissions happen on the loop thread: broadcast
-            # inline so a job's events always precede its response in
-            # each subscriber's outbox. Pool-path emissions come from
-            # the sweep worker thread (and run_cells' queue-drain
-            # thread): marshal onto the loop. call_soon_threadsafe is
-            # FIFO, so events still precede the response — the
+            # Records come from the sweep thread (and run_cells' queue-
+            # drain thread): marshal onto the loop. call_soon_threadsafe
+            # is FIFO, so a job's events precede its response — the
             # to_thread completion lands behind them in the same queue.
-            try:
-                running = asyncio.get_running_loop()
-            except RuntimeError:
-                running = None
-            if running is loop:
-                self._broadcast(job, tenant, record)
-            else:
-                loop.call_soon_threadsafe(self._broadcast, job, tenant, record)
+            loop.call_soon_threadsafe(self._broadcast, job, tenant, record)
 
         stream = ProgressStream([CallbackProgressSink(forward)])
-        cells = [
-            Cell(bench=bench, label=label, mac_bits=bits,
-                 config=config_named(label, bits))
-            for label in labels
-            for bits in request.mac_bits
-            for bench in benches
-        ]
         try:
-            if request.workers > 1 or request.workers == 0:
-                grid = await self._sweep_pool(request, cells, stream)
-            else:
-                grid = await self._sweep_warm(request, cells, stream)
+            async with self._sweep_gate:
+                computed = await asyncio.to_thread(
+                    run_cells,
+                    grid_cells(labels, request.mac_bits, benches),
+                    events=request.events,
+                    workers=request.workers,
+                    cache=self.disk,
+                    overlap=request.overlap,
+                    warmup=request.warmup,
+                    trace_provider=lambda bench: self.traces.get(bench, request.events),
+                    metrics=request.metrics,
+                    live=stream,
+                )
         finally:
             stream.close()
-        payload = {
-            "events": request.events,
-            "benchmarks": list(benches),
-            "configs": list(labels),
-            "cells": {
-                f"{cell.bench}/{cell.label}/"
-                f"{cell.mac_bits if cell.mac_bits is not None else 'default'}": record
-                for cell, record in grid.items()
-            },
-        }
-        return schema.sweep_envelope(payload)
-
-    async def _sweep_pool(self, request: schema.SweepRequest, cells,
-                          stream: ProgressStream) -> dict:
-        """The process-pool path: the whole grid through ``run_cells`` —
-        the exact engine behind ``repro sweep``, in a worker thread."""
-
-        def run() -> dict:
-            computed = run_cells(
-                cells,
-                events=request.events,
-                workers=request.workers,
-                cache=self.disk,
-                overlap=request.overlap,
-                warmup=request.warmup,
-                trace_provider=lambda bench: self.traces.get(bench, request.events),
-                metrics=request.metrics,
-                live=stream,
-            )
-            return {cell: result.to_dict() for cell, result in computed.items()}
-
-        async with self._sweep_gate:
-            grid = await asyncio.to_thread(run)
-        self.served["pool"] += len(grid)
+        self.served["pool"] += len(computed)
         # Back-fill the memory tier so repeats of these cells — from any
         # tenant — are served at memory speed without touching the disk.
-        for cell, record in grid.items():
-            digest = await asyncio.to_thread(self.traces.digest, cell.bench,
-                                             request.events)
-            key = ResultCache.key_for(digest, cell.config, request.overlap,
-                                      request.warmup, metrics=request.metrics)
-            self.lru.put(key, record)
-        return grid
-
-    async def _sweep_warm(self, request: schema.SweepRequest, cells,
-                          stream: ProgressStream) -> dict:
-        """The warm path: every cell through the tiered per-cell resolver,
-        with the same typed progress stream the pool engine emits."""
-        distinct = list(dict.fromkeys(cells))
-        total = len(distinct)
-        start = time.perf_counter()
-        stream.emit("sweep_begin", total=total, workers=1, events=request.events)
-        grid: dict = {}
-        done = 0
-        cached_done = 0
-        simulated = 0
-        for cell in distinct:
-            cell_start = time.perf_counter()
-            record, source, engine = await self._cell_record(
-                cell.bench, cell.config, cell.label, request.events,
-                request.overlap, request.warmup, request.metrics,
-            )
-            wall_s = time.perf_counter() - cell_start
-            grid[cell] = record
-            done += 1
-            if source in ("lru", "disk"):
-                cached_done += 1
-            else:
-                simulated += 1
-            elapsed = max(time.perf_counter() - start, 1e-9)
-            rate = done / elapsed
-            stream.emit(
-                "cell_done", bench=cell.bench, label=cell.label, done=done,
-                total=total, source=source, engine=engine, wall_s=wall_s,
-                cells_per_sec=rate, eta_s=(total - done) / rate if rate else 0.0,
-                cache_hit_ratio=cached_done / done, worker=os.getpid(),
-            )
-        stream.emit("sweep_end", total=total, simulated=simulated,
-                    cached=cached_done, wall_s=time.perf_counter() - start)
-        return grid
+        # One digest per benchmark: a full grid cycles more benchmarks
+        # than the trace store holds, so per-cell lookups would rebuild
+        # an evicted trace for nearly every cell.
+        digests: dict[str, str] = {}
+        for cell, result in computed.items():
+            if cell.bench not in digests:
+                digests[cell.bench] = await asyncio.to_thread(
+                    self.traces.digest, cell.bench, request.events)
+            key = ResultCache.key_for(digests[cell.bench], cell.config,
+                                      request.overlap, request.warmup,
+                                      metrics=request.metrics)
+            self.lru.put(key, result.to_dict())
+        grid = {cell.key: result for cell, result in computed.items()}
+        return schema.sweep_envelope(SweepRun(
+            grid=grid, runner=None, labels=labels, benchmarks=benches,
+            events=request.events,
+        ).to_payload())
 
     # -- trace / precompile --------------------------------------------------
 

@@ -8,6 +8,8 @@ cache turns an immediate re-run into zero simulations.
 
 import json
 import os
+import sys
+import threading
 from concurrent.futures import Future
 
 import pytest
@@ -285,3 +287,49 @@ class TestStaleTmpRecovery:
 
     def test_fresh_cache_reports_no_stale_tmp(self, tmp_path):
         assert ResultCache(str(tmp_path / "new")).stale_tmp == 0
+
+    def test_opening_a_cache_spares_live_writers_tmp_files(self, tmp_path):
+        """Regression: opening a cache deleted *every* ``*.tmp``, including
+        the temp file of a writer between ``mkstemp`` and ``os.replace``,
+        whose ``put`` then raised FileNotFoundError. Only dead writers'
+        files are orphans now."""
+        cache_dir = str(tmp_path)
+        result = Runner(events=EVENTS, benchmarks=BENCHES).result("art", "base")
+        writer = ResultCache(cache_dir)
+        failures = []
+        done = threading.Event()
+
+        def put_many():
+            try:
+                for i in range(1000):
+                    try:
+                        writer.put(f"key{i % 10}", result)
+                    except OSError as exc:
+                        failures.append(exc)
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+            thread = threading.Thread(target=put_many)
+            thread.start()
+            opened = 0
+            while not done.is_set():
+                ResultCache(cache_dir)
+                opened += 1
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert opened > 0
+        assert failures == []
+        assert writer.writes == 1000
+        assert not [n for n in os.listdir(cache_dir) if n.endswith(".tmp")]
+
+    def test_dead_writers_tagged_tmp_is_swept(self, tmp_path):
+        # A pid that cannot be running: above the kernel's pid range.
+        orphan = tmp_path / f"{2 ** 22 + 1}-abc123.tmp"
+        orphan.write_text('{"key": "half-writ')
+        assert ResultCache(str(tmp_path)).stale_tmp == 1
+        assert not orphan.exists()

@@ -140,6 +140,10 @@ class TestProgressStream:
         bad = [dict(r) for r in mem.records]
         bad[2]["engine"] = "warp"
         assert any("warp" in p for p in fleet.validate_progress_records(bad))
+        # unknown source on a done cell (not one run_cells emits)
+        bad = [dict(r) for r in mem.records]
+        bad[2]["source"] = "warm"
+        assert any("'warm'" in p for p in fleet.validate_progress_records(bad))
 
 
 class TestFleetCollector:

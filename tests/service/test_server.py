@@ -8,6 +8,7 @@ subscribers get validatable per-job progress streams, and malformed
 requests come back as error envelopes instead of dropped connections.
 """
 
+import asyncio
 import json
 import threading
 
@@ -15,8 +16,9 @@ import pytest
 
 from repro import api
 from repro.api import schema
-from repro.obs.fleet import validate_progress_records
+from repro.obs.fleet import MemoryProgressSink, validate_progress_records
 from repro.service import ServiceError, serve_background
+from repro.service.server import _READ_LIMIT, _read_line
 
 EVENTS = 2_000
 
@@ -81,6 +83,23 @@ class TestSweepByteIdentity:
         assert set(body) == {"benchmarks", "cells", "configs", "events"}
 
 
+class TestSweepBackfill:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_swept_cells_serve_simulate_from_memory(self, workers):
+        with serve_background() as handle:
+            with handle.client() as client:
+                before = client.status()["served"]["pool"]
+                body = client.sweep(configs=["base", "aise+bmt"],
+                                    benchmarks=["gzip"], events=EVENTS,
+                                    workers=workers)
+                after = client.status()["served"]["pool"]
+                answer = client.simulate(workload="gzip", config="aise+bmt",
+                                         events=EVENTS)
+        assert after - before == len(body["cells"]) == 2
+        assert answer["served_from"] == "lru"
+        assert answer["result"] == body["cells"]["gzip/aise+bmt/default"]
+
+
 class TestTenancy:
     def test_interleaved_tenants_get_identical_cells(self, server):
         results = {}
@@ -133,6 +152,29 @@ class TestProgressEvents:
         assert [r["event"] for r in records][-1] == "sweep_end"
         assert validate_progress_records(records) == []
 
+    def test_serial_sweep_stream_matches_facade(self, server):
+        """A served ``workers=1`` sweep streams what ``api.sweep`` streams:
+        one engine, so the same records in the same order."""
+        knobs = dict(configs=["base", "aise+bmt"], benchmarks=["gzip", "eon"],
+                     events=EVENTS)
+        with server.client(tenant="mirror") as client:
+            client.subscribe()
+            client.sweep(**knobs)
+            client.status()
+        jobs = {event["job"] for event in client.events}
+        assert len(jobs) == 1
+        served = client.progress_records(jobs.pop())
+        sink = MemoryProgressSink()
+        api.sweep(live_sinks=[sink], **knobs)
+        fields = ("event", "bench", "label", "source", "done", "total")
+
+        def shape(records):
+            return [tuple(r.get(f) for f in fields) for r in records]
+
+        assert shape(served) == shape(sink.records)
+        assert {r["source"] for r in served if r["event"] == "cell_done"} \
+            == {"serial"}
+
     def test_unsubscribed_clients_see_no_events(self, server):
         with server.client() as client:
             client.sweep(configs=["base"], benchmarks=["gzip"], events=EVENTS)
@@ -164,6 +206,35 @@ class TestErrors:
             client.sock.sendall(b"this is not json\n")
             envelope = client._recv()
         assert envelope.kind == "error"
+
+    def test_oversized_line_is_one_error_envelope(self, server):
+        """A line over the read limit is skipped whole and answered with
+        one error; the next request on the same socket is served."""
+        with server.client() as client:
+            errors = client.status()["errors"]
+            client.sock.sendall(b"x" * (_READ_LIMIT + 1) + b"\n")
+            envelope = client._recv()
+            assert envelope.kind == "error"
+            assert str(_READ_LIMIT) in envelope.body["error"]
+            status = client.status()
+        assert status["errors"] == errors + 1
+
+    @pytest.mark.parametrize("head, tail", [
+        (b"x" * 40 + b"\nnext\n", b""),        # newline already buffered
+        (b"x" * 40, b"x" * 40 + b"\nnext\n"),  # newline arrives later
+    ], ids=["buffered", "late"])
+    def test_read_line_skips_a_whole_oversized_line(self, head, tail):
+        async def read_all():
+            reader = asyncio.StreamReader(limit=16)
+            reader.feed_data(head)
+            first = asyncio.ensure_future(_read_line(reader))
+            await asyncio.sleep(0)
+            reader.feed_data(tail)
+            reader.feed_eof()
+            return [await first, await _read_line(reader),
+                    await _read_line(reader)]
+
+        assert asyncio.run(read_all()) == [None, b"next\n", b""]
 
 
 class TestOtherOps:
