@@ -6,14 +6,16 @@ machine (real crypto, ``read_block``/``write_block``) and the trace-
 driven timing model (``TimingSimulator.run``) — once with
 ``repro.fastpath`` forced off (the pre-fastpath reference loops, kept
 in-tree for exactly this comparison) and once forced on. The timing
-model is priced under two protocols: ``timing`` (one simulator, warm
-repeated runs — the per-event batched engine) and ``timing_compiled``
-(fresh simulator per run, cold caches — the sweep-cell protocol, where
-the trace pre-compiler (:mod:`repro.fastpath.compiled`) engages and its
-memoized lowering is replayed per run, exactly as a grid sweep replays
-it per cell). All runs happen in the same process on the same inputs,
-so the *speedup ratios* are meaningful on any machine even though
-absolute accesses/sec are not.
+model is priced with a fresh simulator per run (cold caches, the
+sweep-cell and served-request protocol) under two sections:
+``timing_compiled`` (every preset the trace pre-compiler
+(:mod:`repro.fastpath.compiled`) serves: its memoized lowering is
+replayed per run, exactly as a grid sweep replays it per cell) and
+``timing`` (``aise+bmt_lazy``, whose deferred tree updates the
+pre-compiler turns away, so it runs the batched per-event loop). All
+runs happen in the same process on the same inputs, so the *speedup
+ratios* are meaningful on any machine even though absolute accesses/sec
+are not.
 
 Emits ``BENCH_throughput.json`` (the repo's perf trajectory; committed
 at the repo root). ``--check`` re-runs the benchmark and fails if a
@@ -41,6 +43,8 @@ PAGE = 4096
 
 FUNCTIONAL_PRESETS = ("aise", "aise+bmt")
 TIMING_PRESETS = ("base", "aise", "aise+bmt", "global64+mt")
+# Presets the compiled replay turns away on a cold run: the per-event loop.
+PER_EVENT_PRESETS = ("aise+bmt_lazy",)
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), os.pardir,
                            "BENCH_throughput.json")
@@ -76,31 +80,13 @@ def _functional_accesses_per_sec(
     return best
 
 
-def _timing_accesses_per_sec(preset: str, trace, repeats: int) -> float:
-    """Trace events/sec through ``TimingSimulator.run`` for one preset.
-
-    One simulator, repeated runs: after the first, caches are warm, so
-    this prices the per-event engines (the compiled replay requires cold
-    caches and bows out — the ``timing`` section gates it off explicitly
-    to keep its baseline comparable across reports).
-    """
-    sim = TimingSimulator(build_machine(preset, boot=False).config)
-    best = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        sim.run(trace)
-        elapsed = time.perf_counter() - start
-        best = max(best, len(trace) / elapsed)
-    return best
-
-
 def _timing_cold_accesses_per_sec(preset: str, trace, repeats: int) -> float:
     """Trace events/sec with a *fresh* simulator per run (cold caches).
 
-    The sweep-cell protocol — every ``repro.evalx`` grid cell starts
-    cold — and the one where the compiled trace replay engages. The
-    trace's lowering is memoized across runs, exactly as a sweep
-    replays it across cells.
+    The sweep-cell protocol — every ``repro.evalx`` grid cell and every
+    served request starts cold — and the one where the compiled trace
+    replay engages for the schemes it serves. The trace's lowering is
+    memoized across runs, exactly as a sweep replays it across cells.
     """
     config = build_machine(preset, boot=False).config
     best = 0.0
@@ -140,11 +126,11 @@ def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
             "fastpath_accesses_per_sec": round(fast, 1),
             "speedup": round(fast / reference, 3),
         }
-    for preset in TIMING_PRESETS:
+    for preset in PER_EVENT_PRESETS:
         with fastpath.forced(False):
-            reference = _timing_accesses_per_sec(preset, trace, repeats)
-        with fastpath.forced(True), fastpath.forced_compiled(False):
-            fast = _timing_accesses_per_sec(preset, trace, repeats)
+            reference = _timing_cold_accesses_per_sec(preset, trace, repeats)
+        with fastpath.forced(True):
+            fast = _timing_cold_accesses_per_sec(preset, trace, repeats)
         report["timing"][preset] = {
             "reference_accesses_per_sec": round(reference, 1),
             "fastpath_accesses_per_sec": round(fast, 1),
@@ -153,16 +139,13 @@ def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
     for preset in TIMING_PRESETS:
         with fastpath.forced(False):
             reference = _timing_cold_accesses_per_sec(preset, trace, repeats)
-        with fastpath.forced(True), fastpath.forced_compiled(False):
-            per_event = _timing_cold_accesses_per_sec(preset, trace, repeats)
-        with fastpath.forced(True), fastpath.forced_compiled(True):
+        with fastpath.forced(True):
             # Lower off the clock (a sweep pays it once per trace, then
-            # replays it across every cell), then time warm replays.
+            # replays it across every cell), then time the replays.
             _timing_cold_accesses_per_sec(preset, trace, 1)
             compiled = _timing_cold_accesses_per_sec(preset, trace, repeats)
         report["timing_compiled"][preset] = {
             "reference_accesses_per_sec": round(reference, 1),
-            "fastpath_accesses_per_sec": round(per_event, 1),
             "compiled_accesses_per_sec": round(compiled, 1),
             "speedup": round(compiled / reference, 3),
         }
@@ -213,8 +196,8 @@ def main(argv=None) -> int:
     report = run_benchmark(args.events, args.pages, args.rounds, args.repeats)
     for section in ("functional", "timing", "timing_compiled"):
         for preset, cell in report[section].items():
-            top = cell.get("compiled_accesses_per_sec",
-                           cell["fastpath_accesses_per_sec"])
+            top = (cell.get("compiled_accesses_per_sec")
+                   or cell["fastpath_accesses_per_sec"])
             print(f"{section:15} {preset:12} "
                   f"ref {cell['reference_accesses_per_sec']:>12,.0f}/s   "
                   f"fast {top:>12,.0f}/s   "

@@ -29,13 +29,13 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from ..core.config import CacheConfig, MachineConfig
 from ..obs import fleet as fleet_obs
 from ..obs.log import get_logger
 from ..sim.results import SimResult
-from ..sim.simulator import MODEL_VERSION, TimingSimulator
+from ..sim.simulator import MODEL_VERSION, TimingSimulator, run_label
 from ..sim.trace import Trace
 from ..workloads.spec2k import spec_trace
 
@@ -127,7 +127,7 @@ def timing_modules() -> tuple[str, ...]:
     names.update(
         info.name for info in pkgutil.iter_modules(schemes.__path__, "repro.schemes.")
     )
-    # repro.fastpath is a package (per-event engine + trace pre-compiler);
+    # repro.fastpath is a package (per-event loop + trace pre-compiler);
     # walk it like repro.schemes so every engine module is fingerprinted.
     names.update(
         info.name for info in pkgutil.iter_modules(fastpath.__path__, "repro.fastpath.")
@@ -667,11 +667,16 @@ def run_cells(
                       cached=cached_done, wall_s=wall)
 
     def spread() -> dict[Cell, SimResult]:
-        """Fan each group's one result back out to its twin cells."""
+        """Fan each group's one result back out to its twin cells, each
+        under its own label: the label is a reporting key, not part of
+        the cache key, so a record read from the disk tier or returned
+        by a pool worker may carry another label of the same config."""
         for group in twins.values():
             for twin in group[1:]:
                 results[twin] = results[group[0]]
-        return {cell: results[cell] for cell in distinct}
+        return {cell: replace(results[cell],
+                              config_label=run_label(cell.config, cell.label))
+                for cell in distinct}
 
     for cell in prehits:
         account(cell, fleet_obs.SOURCE_CACHE)

@@ -13,19 +13,16 @@ of both and the switches that select them:
   implementations byte-for-byte — ``benchmarks/bench_throughput.py``
   runs both sides in the same process and reports the speedup, and the
   equivalence tests assert identical output either way.
-* :func:`compiled_enabled` / :func:`forced_compiled` — a second gate
-  (``REPRO_COMPILED``, default on, subordinate to the first) for the
-  trace **pre-compiler** (:mod:`repro.fastpath.compiled`): a ``Trace``
-  is lowered once into typed arrays plus a recorded traffic program,
-  then replayed through a lean arithmetic loop. The lowering is
-  memoized on the trace and reused by every run that shares its
-  traffic-shaping geometry — repeated runs, golden regeneration, and
-  grid sweeps that vary only timing parameters.
-* :func:`execute` (:mod:`repro.fastpath.engine`) — the batched event
-  loop for :meth:`repro.sim.TimingSimulator.run`. It dispatches to the
-  compiled replay when one is applicable (cold caches, no armed
-  sanitizer) and otherwise runs the inlined per-event engine. Either
-  way the arithmetic is identical operation for operation to the
+* :func:`execute` (:mod:`repro.fastpath.engine`) — the fast event loop
+  for :meth:`repro.sim.TimingSimulator.run`. It dispatches to the
+  trace **pre-compiler** (:mod:`repro.fastpath.compiled`) when its
+  replay is applicable (cold caches, no armed sanitizer, no deferred
+  tree updates): a ``Trace`` is lowered once into typed arrays plus a
+  recorded traffic program, memoized on the trace and reused by every
+  run that shares its traffic-shaping geometry, then replayed through a
+  lean arithmetic loop. Otherwise it runs the batched per-event loop,
+  whose misses go through the simulator's own miss helpers. Either way
+  the arithmetic is identical operation for operation to the
   instrumented reference loop, so results — including the committed
   figure-6 golden sweep — are byte-identical.
 
@@ -40,7 +37,6 @@ import os
 from contextlib import contextmanager
 
 _FORCED: bool | None = None
-_FORCED_COMPILED: bool | None = None
 _FALSEY = ("0", "off", "false", "no")
 
 # The engine-attribution vocabulary. Every TimingSimulator.run() is
@@ -53,7 +49,6 @@ ENGINES = (ENGINE_COMPILED, ENGINE_PER_EVENT, ENGINE_REFERENCE)
 FALLBACK_REASONS = (
     "obs_session",        # reference: live hooks need per-event callbacks
     "fastpath_gate_off",  # reference: REPRO_FASTPATH=0 / forced(False)
-    "compiled_gate_off",  # per-event: REPRO_COMPILED=0 / forced_compiled(False)
     "sanitizer_armed",    # per-event: reference helpers carry its checks
     "warm_caches",        # per-event: the lowering replays onto cold caches only
     "empty_trace",        # per-event: nothing to replay
@@ -154,33 +149,7 @@ def forced(state: bool):
         _FORCED = previous
 
 
-def compiled_enabled() -> bool:
-    """Whether the compiled trace replay may be used (default: yes).
-
-    Subordinate to :func:`enabled`: the compiled engine is one of the
-    fast paths, so ``REPRO_FASTPATH=0`` disables it too. Setting
-    ``REPRO_COMPILED=0`` keeps the batched per-event engine while
-    skipping the pre-compiler — the mode ``bench_throughput.py`` uses to
-    price the two layers separately.
-    """
-    if _FORCED_COMPILED is not None:
-        return _FORCED_COMPILED
-    return os.environ.get("REPRO_COMPILED", "1").lower() not in _FALSEY
-
-
-@contextmanager
-def forced_compiled(state: bool):
-    """Force the compiled-replay gate on or off within a ``with`` block."""
-    global _FORCED_COMPILED
-    previous = _FORCED_COMPILED
-    _FORCED_COMPILED = bool(state)
-    try:
-        yield
-    finally:
-        _FORCED_COMPILED = previous
-
-
-from .engine import execute  # noqa: E402  (the gates above must exist first)
+from .engine import execute  # noqa: E402  (the gate above must exist first)
 
 __all__ = [
     "ENGINES",
@@ -189,9 +158,7 @@ __all__ = [
     "ENGINE_REFERENCE",
     "EngineTelemetry",
     "FALLBACK_REASONS",
-    "compiled_enabled",
     "enabled",
     "execute",
     "forced",
-    "forced_compiled",
 ]

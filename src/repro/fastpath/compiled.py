@@ -37,8 +37,8 @@ metadata in the L2, so misses in one set evict lines in others and the
 sets feed back into each other; those schemes take
 :func:`lower_sequential`, the pure-Python walk that stays the reference
 the staged route is tested against. The walk applies the reference
-helpers' state transitions to model caches without transliterating the
-per-event engine line by line: it records one interned *key* per miss
+helpers' state transitions to model caches without transliterating
+them line by line: it records one interned *key* per miss
 (its transfer kinds plus hit markers), and the staged route maps its
 outcome codes to the same keys, so one assembler (:func:`_assemble`)
 derives both routes' per-key tables with NumPy.
@@ -84,7 +84,7 @@ K_MERKLE_WB = 7
 K_MAC_WB = 8     # uncached data MAC read-modify-write: mac_bytes only
 
 _N_KINDS = 9
-# Reported-kind settlement order matches the per-event engine's flush.
+# Reported kinds settle in one fixed order: fetches, then writebacks.
 _KIND_SETTLEMENT = (
     ("data", (K_DATA,)),
     ("counter", (K_COUNTER,)),

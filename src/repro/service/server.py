@@ -296,6 +296,11 @@ class SweepService:
 
         record, source, engine = await self.flight.run(key, resolve)
         self.served[source] = self.served.get(source, 0) + 1
+        if record["config_label"] != label:
+            # The key leaves the label out, so the lru and disk tiers (and
+            # a coalesced flight) may answer under another label of the
+            # same config; the record is shared, so stamp a copy.
+            record = {**record, "config_label": label}
         return record, source, engine
 
     async def _simulate(self, conn: _Connection,

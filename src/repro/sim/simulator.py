@@ -43,6 +43,11 @@ _OCCUPANCY_SAMPLE_PERIOD = 64  # events between L2 occupancy samples
 MODEL_VERSION = "2"
 
 
+def run_label(config: MachineConfig, label: str | None) -> str:
+    """The ``config_label`` a run asked for ``label`` reports."""
+    return label or f"{config.encryption}+{config.integrity}"
+
+
 class TimingSimulator:
     """Runs traces against one machine configuration.
 
@@ -50,12 +55,14 @@ class TimingSimulator:
     trace replay (:mod:`repro.fastpath.compiled` — a memoized lowering
     of the trace replayed per configuration; the default for cold-start
     runs), the batched per-event loop (:mod:`repro.fastpath.engine` —
-    warm reuse, or ``REPRO_COMPILED=0``), and the instrumented reference
-    loop in :meth:`_run_reference`, required whenever a
-    :mod:`repro.obs` session is active or the sanitizer is armed. All
-    three compute the identical arithmetic in the identical order, so
-    results — including the committed figure-6 golden sweep — are
-    byte-identical whichever runs.
+    warm reuse, an armed sanitizer, or deferred tree updates), and the
+    instrumented reference loop in :meth:`_run_reference`, required
+    whenever a :mod:`repro.obs` session is active. Both per-event loops
+    send every L2 miss through :meth:`_miss` and its helpers, the one
+    home of the traffic model; the lowering applies the same state
+    transitions off the clock. All three compute the identical
+    arithmetic in the identical order, so results — including the
+    committed figure-6 golden sweep — are byte-identical whichever runs.
     """
 
     __slots__ = (
@@ -486,9 +493,9 @@ class TimingSimulator:
             )
 
         # End-of-run drain: a deferred tree owes the bus its queued walks
-        # before the run's traffic accounting closes. Shared by every
-        # engine — all three fall through to the reference helpers for
-        # deferred schemes, so results stay byte-identical.
+        # before the run's traffic accounting closes. Shared by both
+        # engines that serve deferred schemes — each runs the reference
+        # helpers — so results stay byte-identical.
         if self._deferred_updates:
             self._drain_pending_walks(now)
 
@@ -506,7 +513,7 @@ class TimingSimulator:
                        if not name.startswith("engine.")}
         return SimResult(
             name=trace.name,
-            config_label=label or f"{self.config.encryption}+{self.config.integrity}",
+            config_label=run_label(self.config, label),
             cycles=measured_cycles,
             instructions=measured_instructions,
             metrics=metrics,

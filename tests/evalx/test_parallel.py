@@ -98,6 +98,22 @@ class TestDeterminism:
         assert results[cells[0]] == results[cells[1]]
 
 
+class TestLabels:
+    def test_cached_record_answers_under_the_requested_label(self, tmp_path):
+        """The label is a reporting key, left out of the cache key: a
+        record cached under one label serves another label of the same
+        config, stamped with the label asked for."""
+        cache = ResultCache(str(tmp_path))
+        config = MachineConfig.preset("aise+bmt")
+        first = Cell("gzip", "aise+bmt", config)
+        mine = Cell("gzip", "mine", config)
+        run_cells([first], events=EVENTS, cache=cache)
+        got = run_cells([mine], events=EVENTS, cache=cache)[mine]
+        assert cache.hits == 1
+        assert got.config_label == "mine"
+        assert got.to_dict() == run_cells([mine], events=EVENTS)[mine].to_dict()
+
+
 class TestDiskCache:
     def test_warm_rerun_simulates_nothing(self, tmp_path, monkeypatch):
         cold = Runner(events=EVENTS, benchmarks=BENCHES, cache_dir=str(tmp_path))

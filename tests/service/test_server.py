@@ -59,6 +59,23 @@ class TestSimulate:
         assert stripped == plain["result"]
 
 
+class TestLabels:
+    def test_each_label_of_one_config_gets_its_own_result(self, tmp_path):
+        """The cache key leaves the label out; the answer must not."""
+        knobs = dict(workload="gzip", config="aise+bmt", events=EVENTS)
+        with serve_background(cache_dir=str(tmp_path)) as handle:
+            with handle.client() as client:
+                a = client.simulate(label="a", **knobs)
+                b = client.simulate(label="b", **knobs)
+        with serve_background(cache_dir=str(tmp_path)) as handle:
+            with handle.client() as client:
+                c = client.simulate(label="c", **knobs)
+        assert (b["served_from"], c["served_from"]) == ("lru", "disk")
+        for body, label in ((a, "a"), (b, "b"), (c, "c")):
+            assert body["result"] == api.simulate(
+                "gzip", "aise+bmt", events=EVENTS, label=label).to_dict()
+
+
 class TestSweepByteIdentity:
     KNOBS = dict(configs=["base", "aise+bmt"], benchmarks=["gzip"],
                  events=EVENTS)
