@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from ..attacks import run_all as run_attacks
 from ..core import CounterPredictor, IntegrityError
 from ..core.config import ConfigurationError, MachineConfig
-from ..core.machine import SecureMemorySystem
+from ..core.machine import SecureMemorySystem, plan_layout
 from ..core.storage import StorageBreakdown, breakdown_for_config, storage_breakdown
 from ..osmodel import Kernel
 from ..sim import AccessRecorder
@@ -87,6 +87,10 @@ def preset_names(*, full: bool = False) -> tuple[str, ...]:
     already resolves them, so service clients can discover every legal
     preset: canonical labels first, then the extras in registry order,
     spelled with the canonical shorthands (``base``, ``mt``, ``bmt``).
+    A pair is listed only if it has a memory layout (:func:`plan_layout`
+    accepts it), so every label builds both a timing simulator and a
+    functional machine; ``base+bmt``, for one, has no counters for a
+    Bonsai tree to cover.
     """
     canonical = MachineConfig.preset_names()
     if not full:
@@ -109,6 +113,7 @@ def preset_names(*, full: bool = False) -> tuple[str, ...]:
             label = enc_label if integ == "none" else f"{enc_label}+{int_alias.get(integ, integ)}"
             try:
                 config = MachineConfig.preset(label)
+                plan_layout(config)
             except ConfigurationError:
                 continue
             pair = (config.encryption, config.integrity)

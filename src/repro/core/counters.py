@@ -17,7 +17,7 @@ Also implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..mem.layout import BLOCK_SIZE, BLOCKS_PER_PAGE
 from . import sanitizer
@@ -74,24 +74,41 @@ class GlobalPageCounter:
 
 @dataclass
 class PageCounterBlock:
-    """AISE per-page counter block: LPID + 64 minor counters (64 bytes)."""
+    """AISE per-page counter block: LPID + 64 minor counters (64 bytes).
+
+    Every protected write bumps one minor and stores the whole block, so
+    the packed 56-byte minor field is kept in step by :meth:`increment`
+    instead of being re-packed from 64 fields on every store.
+    ``_packed`` packs exactly the minors in ``_synced``; :meth:`to_bytes`
+    uses it only while ``minors`` still equals ``_synced``, so a minor
+    written behind the API (``minors[i] = ...``, a replaced list) takes
+    the full re-pack, with its range check, just as before.
+    """
 
     lpid: int
     minors: list[int]
+    _packed: int = field(default=0, init=False, repr=False, compare=False)
+    _synced: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, lpid: int) -> "PageCounterBlock":
-        return cls(lpid=lpid, minors=[0] * BLOCKS_PER_PAGE)
+        block = cls(lpid=lpid, minors=[0] * BLOCKS_PER_PAGE)
+        block._synced = [0] * BLOCKS_PER_PAGE
+        return block
 
     def to_bytes(self) -> bytes:
         if not 0 <= self.lpid < (1 << LPID_BITS):
             raise ValueError(f"LPID {self.lpid} out of 64-bit range")
-        packed = 0
-        for i, minor in enumerate(self.minors):
-            if not 0 <= minor <= MINOR_MAX:
-                raise ValueError(f"minor counter {minor} out of {MINOR_BITS}-bit range")
-            packed |= minor << (MINOR_BITS * i)
-        return self.lpid.to_bytes(8, "big") + packed.to_bytes(_MINOR_FIELD_BYTES, "little")
+        minors = self.minors
+        if minors != self._synced:
+            packed = 0
+            for i, minor in enumerate(minors):
+                if not 0 <= minor <= MINOR_MAX:
+                    raise ValueError(f"minor counter {minor} out of {MINOR_BITS}-bit range")
+                packed |= minor << (MINOR_BITS * i)
+            self._packed = packed
+            self._synced = list(minors)
+        return self.lpid.to_bytes(8, "big") + self._packed.to_bytes(_MINOR_FIELD_BYTES, "little")
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PageCounterBlock":
@@ -100,7 +117,10 @@ class PageCounterBlock:
         lpid = int.from_bytes(raw[:8], "big")
         packed = int.from_bytes(raw[8:], "little")
         minors = [(packed >> (MINOR_BITS * i)) & MINOR_MAX for i in range(BLOCKS_PER_PAGE)]
-        return cls(lpid=lpid, minors=minors)
+        block = cls(lpid=lpid, minors=minors)
+        block._packed = packed
+        block._synced = minors.copy()
+        return block
 
     def increment(self, block_in_page: int) -> bool:
         """Bump one minor counter. Returns True if it wrapped (overflow).
@@ -108,7 +128,8 @@ class PageCounterBlock:
         On overflow the caller must assign a fresh LPID and re-encrypt the
         page (paper section 4.3); the minor is reset to 0 here.
         """
-        old = self.minors[block_in_page]
+        minors = self.minors
+        old = minors[block_in_page]
         if sanitizer.enabled("counter_monotonicity"):
             # A minor outside its 7-bit range means something wrote the
             # counter behind this API's back — pad reuse waiting to happen.
@@ -117,11 +138,18 @@ class PageCounterBlock:
                 f"minor counter {old} out of {MINOR_BITS}-bit range before increment",
             )
         value = old + 1
-        if value > MINOR_MAX:
-            self.minors[block_in_page] = 0
-            return True
-        self.minors[block_in_page] = value
-        return False
+        wrapped = value > MINOR_MAX
+        if wrapped:
+            value = 0
+        minors[block_in_page] = value
+        synced = self._synced
+        # Only a minor the packing already holds moves in step; one written
+        # behind the API leaves ``_synced`` stale, so ``to_bytes`` re-packs
+        # and range-checks it.
+        if synced is not None and synced[block_in_page] == old:
+            self._packed += (value - old) << (MINOR_BITS * block_in_page)
+            synced[block_in_page] = value
+        return wrapped
 
 
 @dataclass

@@ -44,18 +44,22 @@ class PadGenerator:
 
     def __init__(self, key: bytes, fast: bool = False, cache: PadCache | None = None):
         self.key = bytes(key)
-        self._fast = fast
         self._aes = None if fast else AES(self.key)
+        # Keyed BLAKE2s as a fast PRF stand-in for AES; same interface,
+        # same uniqueness properties for simulation purposes. Keyed once,
+        # copied per seed (the digest equals a freshly keyed hash).
+        self._keyed = hashlib.blake2s(key=self.key[:32], digest_size=CHUNK_SIZE) if fast else None
         if cache is None and fastpath.enabled():
             cache = PadCache()
         self.cache = cache
 
     def _generate(self, seed: int) -> bytes:
         seed_bytes = (seed & _SEED_MASK).to_bytes(CHUNK_SIZE, "big")
-        if self._fast:
-            # Keyed BLAKE2s as a fast PRF stand-in for AES; same interface,
-            # same uniqueness properties for simulation purposes.
-            return hashlib.blake2s(seed_bytes, key=self.key[:32], digest_size=CHUNK_SIZE).digest()
+        keyed = self._keyed
+        if keyed is not None:
+            state = keyed.copy()
+            state.update(seed_bytes)
+            return state.digest()
         return self._aes.encrypt_block(seed_bytes)
 
     def pad(self, seed: int) -> bytes:

@@ -74,12 +74,25 @@ class HmacSha256Mac(MacFunction):
 
 
 class Blake2Mac(MacFunction):
-    """Keyed BLAKE2s/BLAKE2b MAC — fast stand-in with identical interface."""
+    """Keyed BLAKE2s/BLAKE2b MAC — fast stand-in with identical interface.
+
+    BLAKE2 absorbs its key as a first padded block, so the keyed state is
+    built once here and ``copy()``-ed per message: the digest equals a
+    one-shot ``blake2s(message, key=...)`` byte for byte, without
+    re-keying on every call.
+    """
+
+    def __init__(self, key: bytes, mac_bits: int = DEFAULT_MAC_BITS):
+        super().__init__(key, mac_bits)
+        if self.mac_bytes <= 32:
+            self._keyed = hashlib.blake2s(key=self.key[:32], digest_size=self.mac_bytes)
+        else:
+            self._keyed = hashlib.blake2b(key=self.key[:64], digest_size=self.mac_bytes)
 
     def compute(self, message: bytes) -> bytes:
-        if self.mac_bytes <= 32:
-            return hashlib.blake2s(message, key=self.key[:32], digest_size=self.mac_bytes).digest()
-        return hashlib.blake2b(message, key=self.key[:64], digest_size=self.mac_bytes).digest()
+        state = self._keyed.copy()
+        state.update(message)
+        return state.digest()
 
 
 def make_mac(key: bytes, mac_bits: int = DEFAULT_MAC_BITS, fast: bool = True) -> MacFunction:

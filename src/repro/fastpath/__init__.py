@@ -29,6 +29,17 @@ of both and the switches that select them:
 The simulator falls back to its instrumented reference loop whenever a
 :mod:`repro.obs` session is active (live hooks need per-event callbacks)
 or the gate is off.
+
+Not every optimization of the functional datapath is gated. Those that
+yield the same bytes by construction, with no memo whose hit could hide
+a fault, are always on and have no reference twin: the counter block's
+packed minors kept in step by ``increment`` (O(1) serialization), keyed
+BLAKE2 states built once and copied per message (MACs, fast pads, the
+swap disk cipher), the one-probe splice per level in
+``MerkleTree.update``, and named-tuple seed inputs composed with one
+block-in-page lookup. ``benchmarks/functional_golden.py`` pins DRAM, the
+root register, the access log and the engine statistics of a seeded
+kernel workload under both gate settings.
 """
 
 from __future__ import annotations

@@ -61,9 +61,8 @@ class MacStore:
         if len(mac) != self.mac_bytes:
             raise ValueError(f"MAC must be {self.mac_bytes} bytes, got {len(mac)}")
         block_addr, offset = self._locate(address)
-        raw = bytearray(self.memory.read_block(block_addr))
-        raw[offset : offset + self.mac_bytes] = mac
-        self.memory.write_block(block_addr, bytes(raw))
+        raw = self.memory.read_block(block_addr)
+        self.memory.write_block(block_addr, raw[:offset] + mac + raw[offset + self.mac_bytes :])
 
 
 class MacOnlyIntegrity:

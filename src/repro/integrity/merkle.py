@@ -381,26 +381,42 @@ class MerkleTree:
             return
         geometry = self.geometry
         arity = geometry.arity
+        bases = geometry.level_bases
         mac_bytes = self.mac.mac_bytes
+        mac_child = self._mac_child
+        write = self.memory.write_block
+        trusted = self._trusted
+        dirty = self._dirty
+        lazy = self.lazy
         index = geometry.child_index(address)
         child_bytes = new_data
         for level in range(1, geometry.levels + 1):
             node_index = index // arity
-            node = bytearray(self._trusted_node(level, node_index))
-            slot = index % arity
-            node[slot * mac_bytes : (slot + 1) * mac_bytes] = self._mac_child(
-                child_bytes, level - 1, index
-            )
-            node_bytes = bytes(node)
-            node_address = geometry.level_bases[level - 1] + node_index * BLOCK_SIZE
-            self.memory.write_block(node_address, node_bytes)
-            if self.lazy:
+            node_address = bases[level - 1] + node_index * BLOCK_SIZE
+            # One probe: a clean trusted copy (and no dirty set that could
+            # shadow it) is used as is; anything else takes the full
+            # resolution. Either way the node ends up most recently used.
+            node = None if dirty else trusted.get(node_address)
+            hit = node is not None
+            if hit:
+                self.trusted_hits += 1
+            else:
+                node = self._trusted_node(level, node_index)
+            lo = (index % arity) * mac_bytes
+            mac = mac_child(child_bytes, level - 1, index)
+            node_bytes = node[:lo] + mac + node[lo + mac_bytes:]
+            write(node_address, node_bytes)
+            if lazy:
                 # The walk wrote the node's effective bytes: an adopted
                 # (dirty) node is now clean and materialized.
                 key = (level, node_index)
-                self._dirty.pop(key, None)
+                dirty.pop(key, None)
                 self._materialized.add(key)
-            self._trust(node_address, node_bytes)
+            if hit:
+                trusted[node_address] = node_bytes
+                trusted.move_to_end(node_address)
+            else:
+                self._trust(node_address, node_bytes)
             child_bytes = node_bytes
             index = node_index
         self.root.store(self._mac_top(child_bytes))
@@ -414,14 +430,14 @@ class MerkleTree:
         # the parent below may adopt it (dirtying it as a side effect), so
         # snapshot first.
         was_dirty = (1, parent_index) in self._dirty
-        parent = bytearray(self._trusted_node(1, parent_index))
-        slot = index % geometry.arity
+        parent = self._trusted_node(1, parent_index)
         mac_bytes = self.mac.mac_bytes
-        parent[slot * mac_bytes : (slot + 1) * mac_bytes] = self._mac_child(new_data, 0, index)
+        lo = (index % geometry.arity) * mac_bytes
+        mac = self._mac_child(new_data, 0, index)
         self.scheduled_updates += 1
         if was_dirty:
             self.coalesced_updates += 1
-        self._set_dirty(1, parent_index, bytes(parent))
+        self._set_dirty(1, parent_index, parent[:lo] + mac + parent[lo + mac_bytes:])
 
     # -- draining --------------------------------------------------------------
 
@@ -435,11 +451,15 @@ class MerkleTree:
         parent's effective slot — holds at every prefix."""
         geometry = self.geometry
         arity = geometry.arity
+        bases = geometry.level_bases
         mac_bytes = self.mac.mac_bytes
+        mac_child = self._mac_child
+        write = self.memory.write_block
+        dirty = self._dirty
         levels = geometry.levels
         written = 0
         for level in range(1, levels + 1):
-            keys = sorted(key for key in self._dirty if key[0] == level)
+            keys = sorted(key for key in dirty if key[0] == level)
             if targets is not None:
                 keys = [key for key in keys if key in targets]
             for key in keys:
@@ -447,10 +467,10 @@ class MerkleTree:
                     if written:
                         self.drains += 1
                     return written
-                node_bytes = self._dirty.pop(key)
-                _, index = key
-                node_address = self._node_address(level, index)
-                self.memory.write_block(node_address, node_bytes)
+                node_bytes = dirty.pop(key)
+                index = key[1]
+                node_address = bases[level - 1] + index * BLOCK_SIZE
+                write(node_address, node_bytes)
                 if self.lazy:
                     self._materialized.add(key)
                 self._trust(node_address, node_bytes)
@@ -461,12 +481,11 @@ class MerkleTree:
                     self.root.store(self._mac_top(node_bytes))
                 else:
                     parent_index = index // arity
-                    parent = bytearray(self._trusted_node(level + 1, parent_index))
-                    slot = index % arity
-                    parent[slot * mac_bytes : (slot + 1) * mac_bytes] = self._mac_child(
-                        node_bytes, level, index
-                    )
-                    self._set_dirty(level + 1, parent_index, bytes(parent))
+                    parent = self._trusted_node(level + 1, parent_index)
+                    lo = (index % arity) * mac_bytes
+                    mac = mac_child(node_bytes, level, index)
+                    self._set_dirty(level + 1, parent_index,
+                                    parent[:lo] + mac + parent[lo + mac_bytes:])
         if written:
             self.drains += 1
         return written

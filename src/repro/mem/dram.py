@@ -61,7 +61,8 @@ class BlockMemory:
         return address
 
     def read_block(self, address: int) -> bytes:
-        self._check(address)
+        if address % BLOCK_SIZE or not 0 <= address < self.size_bytes:
+            self._check(address)  # raises the precise error
         if self.access_log is not None:
             self.access_log.append(("r", address))
         intercepted = self._intercepts.pop(address, None)
@@ -70,7 +71,8 @@ class BlockMemory:
         return self._blocks.get(address, bytes(BLOCK_SIZE))
 
     def write_block(self, address: int, data: bytes) -> None:
-        self._check(address)
+        if address % BLOCK_SIZE or not 0 <= address < self.size_bytes:
+            self._check(address)  # raises the precise error
         if len(data) != BLOCK_SIZE:
             raise ValueError(f"block write must be {BLOCK_SIZE} bytes, got {len(data)}")
         if self.access_log is not None:

@@ -50,7 +50,7 @@ def page_offset(address: int) -> int:
 
 def block_in_page(address: int) -> int:
     """Index (0..63) of the block within its page."""
-    return page_offset(address) // BLOCK_SIZE
+    return (address & (PAGE_SIZE - 1)) // BLOCK_SIZE
 
 
 def chunk_id(address: int) -> int:

@@ -60,14 +60,17 @@ class DiskCipher:
     def __init__(self, key: bytes):
         self.key = bytes(key)
         self._generation = 0
+        # Keyed once; each pad copies the state (same digest as re-keying).
+        self._keyed = hashlib.blake2s(key=self.key[:32], digest_size=BLOCK_SIZE // 2)
 
     def next_generation(self) -> int:
         self._generation += 1
         return self._generation
 
     def _pad(self, generation: int, block: int) -> bytes:
-        nonce = generation.to_bytes(8, "big") + block.to_bytes(8, "big")
-        return hashlib.blake2s(nonce, key=self.key[:32], digest_size=BLOCK_SIZE // 2).digest() * 2
+        state = self._keyed.copy()
+        state.update(generation.to_bytes(8, "big") + block.to_bytes(8, "big"))
+        return state.digest() * 2
 
     def apply(self, data: bytes, generation: int, block: int) -> bytes:
         pad = self._pad(generation, block)

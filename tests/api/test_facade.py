@@ -162,6 +162,23 @@ class TestFullPresetNames:
         for name in api.preset_names(full=True):
             assert isinstance(MachineConfig.preset(name), MachineConfig)
 
+    @pytest.mark.parametrize("name", api.preset_names(full=True))
+    def test_every_full_name_builds_both_systems(self, name):
+        """A listed label is one a client can run: it has a memory layout
+        for the timing simulator and for the functional machine."""
+        assert isinstance(api.TimingSimulator(MachineConfig.preset(name)), api.TimingSimulator)
+        machine = api.build_machine(name, physical_bytes=4 * 4096)
+        machine.write_block(0, b"\x5a" * 64)
+        assert machine.read_block(0) == b"\x5a" * 64
+
+    def test_labels_without_a_layout_are_not_listed(self):
+        """A Bonsai tree covers counters: counter-free encryption has none."""
+        full = api.preset_names(full=True)
+        for name in ("base+bmt", "base+bmt_lazy", "direct+bmt", "direct+bmt_lazy"):
+            assert name not in full
+            with pytest.raises(api.ConfigurationError):
+                api.TimingSimulator(MachineConfig.preset(name))
+
     def test_no_duplicate_resolved_configs(self):
         resolved = [
             (MachineConfig.preset(n).encryption, MachineConfig.preset(n).integrity)

@@ -41,6 +41,25 @@ class TestMacSizes:
         assert not mac.verify(b"payload", tag + b"\x00")  # wrong length
 
 
+class TestBlake2KeyedState:
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.binary(max_size=80), message=st.binary(max_size=200),
+           bits=st.sampled_from(SUPPORTED_MAC_BITS + (512,)))
+    def test_reused_keyed_state_equals_one_shot_hash(self, key, message, bits):
+        """Copying one keyed state per message is byte-identical to
+        keying a fresh BLAKE2 for every message."""
+        import hashlib
+
+        mac = Blake2Mac(key, bits)
+        size = bits // 8
+        if size <= 32:
+            want = hashlib.blake2s(message, key=key[:32], digest_size=size).digest()
+        else:
+            want = hashlib.blake2b(message, key=key[:64], digest_size=size).digest()
+        assert mac.compute(message) == want
+        assert mac.compute(message) == want  # the keyed state is not consumed
+
+
 class TestHmacExpansion:
     def test_256_bit_expands_past_sha1_digest(self):
         """SHA-1 yields 20 bytes; 256-bit MACs need counter expansion."""

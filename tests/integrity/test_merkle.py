@@ -130,6 +130,22 @@ class TestTrustedCache:
         for block in range(32):
             tree.verify(block * 64)
 
+    def test_update_leaves_its_path_most_recently_used(self):
+        """An update refreshes every node on its path, hit or miss, in
+        bottom-up order: the shared upper nodes of a second leaf's path
+        move behind its fresh lower nodes, so a bounded cache evicts the
+        first path's private nodes first."""
+        tree, memory = make_tree(capacity=8)
+        paths = []
+        for address in (0, 63 * 64):  # different level-1 and level-2 nodes
+            write_covered(tree, memory, address, b"\x33" * 64)
+            paths.append([ref.address for ref in tree.geometry.walk(address)])
+            assert list(tree._trusted)[-len(paths[-1]):] == paths[-1]
+        hits = tree.trusted_hits
+        write_covered(tree, memory, 0, b"\x34" * 64)  # every level a hit
+        assert tree.trusted_hits == hits + len(paths[0])
+        assert list(tree._trusted)[-len(paths[0]):] == paths[0]
+
     def test_tamper_detected_even_after_node_was_trusted(self):
         """A trusted on-chip copy must not mask later memory tampering:
         verification uses the on-chip copy, so the attacker's change to

@@ -120,10 +120,7 @@ class TestSchemeCrossProduct:
         second run."""
         trace = random_trace(seed=7)
         config = MachineConfig.preset(preset)
-        try:
-            ref_sim = TimingSimulator(config)
-        except ConfigurationError:
-            pytest.skip(f"{preset} is listed but has no memory layout")
+        ref_sim = TimingSimulator(config)
         with fastpath.forced(False):
             ref = [as_fields(ref_sim.run(trace)) for _ in range(2)]
         sim = TimingSimulator(config)
