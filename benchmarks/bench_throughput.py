@@ -7,15 +7,14 @@ driven timing model (``TimingSimulator.run``) — once with
 ``repro.fastpath`` forced off (the pre-fastpath reference loops, kept
 in-tree for exactly this comparison) and once forced on. The timing
 model is priced with a fresh simulator per run (cold caches, the
-sweep-cell and served-request protocol) under two sections:
-``timing_compiled`` (every preset the trace pre-compiler
+sweep-cell and served-request protocol) in the ``timing_compiled``
+section, over presets the trace pre-compiler
 (:mod:`repro.fastpath.compiled`) serves: its memoized lowering is
-replayed per run, exactly as a grid sweep replays it per cell) and
-``timing`` (``aise+bmt_lazy``, whose deferred tree updates the
-pre-compiler turns away, so it runs the batched per-event loop). All
-runs happen in the same process on the same inputs, so the *speedup
-ratios* are meaningful on any machine even though absolute accesses/sec
-are not.
+replayed per run, exactly as a grid sweep replays it per cell. Presets
+the pre-compiler turns away run the reference loop either way, so
+there is nothing to compare for them. All runs happen in the same
+process on the same inputs, so the *speedup ratios* are meaningful on
+any machine even though absolute accesses/sec are not.
 
 Emits ``BENCH_throughput.json`` (the repo's perf trajectory; committed
 at the repo root). ``--check`` re-runs the benchmark and fails if a
@@ -43,8 +42,7 @@ PAGE = 4096
 
 FUNCTIONAL_PRESETS = ("aise", "aise+bmt")
 TIMING_PRESETS = ("base", "aise", "aise+bmt", "global64+mt")
-# Presets the compiled replay turns away on a cold run: the per-event loop.
-PER_EVENT_PRESETS = ("aise+bmt_lazy",)
+SECTIONS = ("functional", "timing_compiled")
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), os.pardir,
                            "BENCH_throughput.json")
@@ -101,7 +99,7 @@ def _timing_cold_accesses_per_sec(preset: str, trace, repeats: int) -> float:
 
 def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
     trace = load_trace("art", events)
-    trace.decoded()  # pre-decode off the clock; both paths share it
+    trace.decoded()  # pre-decode off the clock, as the reference loop reuses it
     report = {
         "meta": {
             "events": events,
@@ -113,7 +111,6 @@ def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
                     "across machines",
         },
         "functional": {},
-        "timing": {},
         "timing_compiled": {},
     }
     for preset in FUNCTIONAL_PRESETS:
@@ -122,16 +119,6 @@ def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
         with fastpath.forced(True):
             fast = _functional_accesses_per_sec(preset, pages, rounds, repeats)
         report["functional"][preset] = {
-            "reference_accesses_per_sec": round(reference, 1),
-            "fastpath_accesses_per_sec": round(fast, 1),
-            "speedup": round(fast / reference, 3),
-        }
-    for preset in PER_EVENT_PRESETS:
-        with fastpath.forced(False):
-            reference = _timing_cold_accesses_per_sec(preset, trace, repeats)
-        with fastpath.forced(True):
-            fast = _timing_cold_accesses_per_sec(preset, trace, repeats)
-        report["timing"][preset] = {
             "reference_accesses_per_sec": round(reference, 1),
             "fastpath_accesses_per_sec": round(fast, 1),
             "speedup": round(fast / reference, 3),
@@ -155,7 +142,7 @@ def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
 def check_regression(current: dict, baseline: dict, tolerance: float) -> list[str]:
     """Speedup ratios that fell more than ``tolerance`` below the baseline."""
     failures = []
-    for section in ("functional", "timing", "timing_compiled"):
+    for section in SECTIONS:
         for preset, cell in baseline.get(section, {}).items():
             now = current.get(section, {}).get(preset)
             if now is None:
@@ -194,7 +181,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = run_benchmark(args.events, args.pages, args.rounds, args.repeats)
-    for section in ("functional", "timing", "timing_compiled"):
+    for section in SECTIONS:
         for preset, cell in report[section].items():
             top = (cell.get("compiled_accesses_per_sec")
                    or cell["fastpath_accesses_per_sec"])

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from ..attacks import run_all as run_attacks
 from ..core import CounterPredictor, IntegrityError
 from ..core.config import ConfigurationError, MachineConfig
-from ..core.machine import SecureMemorySystem, plan_layout
+from ..core.machine import SecureMemorySystem
 from ..core.storage import StorageBreakdown, breakdown_for_config, storage_breakdown
 from ..osmodel import Kernel
 from ..sim import AccessRecorder
@@ -87,10 +87,9 @@ def preset_names(*, full: bool = False) -> tuple[str, ...]:
     already resolves them, so service clients can discover every legal
     preset: canonical labels first, then the extras in registry order,
     spelled with the canonical shorthands (``base``, ``mt``, ``bmt``).
-    A pair is listed only if it has a memory layout (:func:`plan_layout`
-    accepts it), so every label builds both a timing simulator and a
-    functional machine; ``base+bmt``, for one, has no counters for a
-    Bonsai tree to cover.
+    A pair is listed only if :class:`MachineConfig` accepts it, so every
+    label builds both a timing simulator and a functional machine;
+    ``base+bmt``, for one, has no counters for a Bonsai tree to cover.
     """
     canonical = MachineConfig.preset_names()
     if not full:
@@ -113,7 +112,6 @@ def preset_names(*, full: bool = False) -> tuple[str, ...]:
             label = enc_label if integ == "none" else f"{enc_label}+{int_alias.get(integ, integ)}"
             try:
                 config = MachineConfig.preset(label)
-                plan_layout(config)
             except ConfigurationError:
                 continue
             pair = (config.encryption, config.integrity)
@@ -412,7 +410,7 @@ def trace(
 
     The simulation runs under an ambient :mod:`repro.obs` session (which
     selects the instrumented reference loop — observability and the
-    fastpath batched loop are mutually exclusive by design). ``jsonl``
+    compiled replay are mutually exclusive by design). ``jsonl``
     is an optional writable text file that additionally receives each
     raw event as a JSON line while the run progresses.
     """

@@ -102,8 +102,12 @@ class MachineConfig:
         from ..mem.layout import BLOCK_SIZE
         from ..schemes import encryption_scheme, integrity_scheme
 
-        encryption_scheme(self.encryption)
-        integrity_scheme(self.integrity)
+        enc_scheme = encryption_scheme(self.encryption)
+        if integrity_scheme(self.integrity).requires_counters and not enc_scheme.uses_counters:
+            raise ConfigurationError(
+                f"integrity scheme {self.integrity!r} needs counter storage to "
+                "cover: use a counter-mode encryption scheme with it"
+            )
         if self.block_size != BLOCK_SIZE:
             # The metadata layout, the functional memory and the timing
             # engines' victim addresses are all fixed at 64B blocks; any

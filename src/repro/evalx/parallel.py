@@ -127,7 +127,7 @@ def timing_modules() -> tuple[str, ...]:
     names.update(
         info.name for info in pkgutil.iter_modules(schemes.__path__, "repro.schemes.")
     )
-    # repro.fastpath is a package (per-event loop + trace pre-compiler);
+    # repro.fastpath is a package (engine choice + trace pre-compiler);
     # walk it like repro.schemes so every engine module is fingerprinted.
     names.update(
         info.name for info in pkgutil.iter_modules(fastpath.__path__, "repro.fastpath.")

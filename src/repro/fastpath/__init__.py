@@ -1,4 +1,4 @@
-"""repro.fastpath: the batched and compiled execution engines.
+"""repro.fastpath: engine choice for the timing core, and the fast paths.
 
 The timing simulator's event loop and the functional crypto path are the
 two hot paths of the repository. This package owns the *fast* versions
@@ -9,26 +9,24 @@ of both and the switches that select them:
   (:class:`repro.crypto.engine.PadCache`), the interned seed tuples
   (:meth:`repro.core.seeds.SeedScheme.seeds_for_block`), the integer-XOR
   block cipher application (:mod:`repro.crypto.ctr_mode`), and the
-  batched timing loops below. Disabling the gate restores the reference
-  implementations byte-for-byte — ``benchmarks/bench_throughput.py``
+  compiled timing replay below. Disabling the gate restores the
+  reference implementations byte-for-byte — ``benchmarks/bench_throughput.py``
   runs both sides in the same process and reports the speedup, and the
   equivalence tests assert identical output either way.
-* :func:`execute` (:mod:`repro.fastpath.engine`) — the fast event loop
-  for :meth:`repro.sim.TimingSimulator.run`. It dispatches to the
-  trace **pre-compiler** (:mod:`repro.fastpath.compiled`) when its
-  replay is applicable (cold caches, no armed sanitizer, no deferred
-  tree updates): a ``Trace`` is lowered once into typed arrays plus a
-  recorded traffic program, memoized on the trace and reused by every
-  run that shares its traffic-shaping geometry, then replayed through a
-  lean arithmetic loop. Otherwise it runs the batched per-event loop,
-  whose misses go through the simulator's own miss helpers. Either way
-  the arithmetic is identical operation for operation to the
-  instrumented reference loop, so results — including the committed
-  figure-6 golden sweep — are byte-identical.
-
-The simulator falls back to its instrumented reference loop whenever a
-:mod:`repro.obs` session is active (live hooks need per-event callbacks)
-or the gate is off.
+* :func:`execute` (:mod:`repro.fastpath.engine`) — the one place that
+  chooses the engine for :meth:`repro.sim.TimingSimulator.run`. There
+  are two: the trace **pre-compiler** (:mod:`repro.fastpath.compiled`),
+  whose lowering of a ``Trace`` into typed arrays plus a recorded
+  traffic program is memoized on the trace, reused by every run that
+  shares its traffic-shaping geometry and replayed through a lean
+  arithmetic loop; and the simulator's instrumented reference loop,
+  which sends every miss through the simulator's own miss helpers.
+  Compiled replay runs unless a :mod:`repro.obs` session is active
+  (live hooks need per-event callbacks), the gate is off, or the replay
+  cannot model the run (an armed sanitizer, deferred tree updates, warm
+  caches, an empty trace). The arithmetic is identical operation for
+  operation either way, so results — including the committed figure-6
+  golden sweep — are byte-identical.
 
 Not every optimization of the functional datapath is gated. Those that
 yield the same bytes by construction, with no memo whose hit could hide
@@ -51,40 +49,39 @@ _FORCED: bool | None = None
 _FALSEY = ("0", "off", "false", "no")
 
 # The engine-attribution vocabulary. Every TimingSimulator.run() is
-# attributed to exactly one engine; a run on anything but the compiled
-# replay also carries the *reason* the faster engine was passed over.
+# attributed to exactly one engine; a run on the reference loop also
+# carries the *reason* compiled replay was passed over. The reasons are
+# listed in the order execute() checks them.
 ENGINE_COMPILED = "compiled"
-ENGINE_PER_EVENT = "per_event"
 ENGINE_REFERENCE = "reference"
-ENGINES = (ENGINE_COMPILED, ENGINE_PER_EVENT, ENGINE_REFERENCE)
+ENGINES = (ENGINE_COMPILED, ENGINE_REFERENCE)
 FALLBACK_REASONS = (
-    "obs_session",        # reference: live hooks need per-event callbacks
-    "fastpath_gate_off",  # reference: REPRO_FASTPATH=0 / forced(False)
-    "sanitizer_armed",    # per-event: reference helpers carry its checks
-    "warm_caches",        # per-event: the lowering replays onto cold caches only
-    "empty_trace",        # per-event: nothing to replay
-    "deferred_updates",   # per-event: reference helpers own the pending-walk queue
+    "obs_session",        # live hooks need per-event callbacks
+    "fastpath_gate_off",  # REPRO_FASTPATH=0 / forced(False)
+    "sanitizer_armed",    # the reference helpers carry its checks
+    "deferred_updates",   # the reference helpers own the pending-walk queue
+    "warm_caches",        # the lowering replays onto cold caches only
+    "empty_trace",        # nothing to replay
 )
 
 
 class EngineTelemetry:
     """Per-simulator record of which execution engine each run() used.
 
-    Mutated only by the engine-selection code (this package and
-    :meth:`TimingSimulator.run`); everyone else reads it through the
-    pull-model gauges :func:`repro.obs.adapters.register_engine_telemetry`
-    binds — the OBS002 lint rule holds engine code to exactly that
-    split. Recording is one attribute bump per *run* (never per event),
-    so disabled-mode output and cost are untouched.
+    Mutated only by the engine-selection code (:func:`execute`);
+    everyone else reads it through the pull-model gauges
+    :func:`repro.obs.adapters.register_engine_telemetry` binds — the
+    OBS002 lint rule holds engine code to exactly that split. Recording
+    is one attribute bump per *run* (never per event), so disabled-mode
+    output and cost are untouched.
     """
 
-    __slots__ = ("compiled", "per_event", "reference", "fallbacks",
+    __slots__ = ("compiled", "reference", "fallbacks",
                  "lowering_hits", "lowering_misses", "lowering_staged",
                  "last_engine", "last_reason")
 
     def __init__(self):
         self.compiled = 0
-        self.per_event = 0
         self.reference = 0
         # {reason: runs}; only reasons that actually occurred appear.
         self.fallbacks: dict[str, int] = {}
@@ -100,8 +97,6 @@ class EngineTelemetry:
         """Attribute one run; ``reason`` is required unless compiled."""
         if engine == ENGINE_COMPILED:
             self.compiled += 1
-        elif engine == ENGINE_PER_EVENT:
-            self.per_event += 1
         elif engine == ENGINE_REFERENCE:
             self.reference += 1
         else:
@@ -124,7 +119,7 @@ class EngineTelemetry:
 
     @property
     def runs(self) -> int:
-        return self.compiled + self.per_event + self.reference
+        return self.compiled + self.reference
 
     @property
     def lowering_hit_rate(self) -> float:
@@ -165,7 +160,6 @@ from .engine import execute  # noqa: E402  (the gate above must exist first)
 __all__ = [
     "ENGINES",
     "ENGINE_COMPILED",
-    "ENGINE_PER_EVENT",
     "ENGINE_REFERENCE",
     "EngineTelemetry",
     "FALLBACK_REASONS",

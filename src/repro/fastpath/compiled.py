@@ -51,7 +51,7 @@ regeneration, and `repro.evalx` sweeps that vary only timing knobs
 precise verification) replay the same artifact — the multiplicative
 grid win. A replay requires cold caches (it installs the recorded final
 contents afterwards, so back-to-back warm ``run()`` calls fall back to
-the per-event engine) and, like every fast path, steps aside when the
+the reference loop) and, like every fast path, steps aside when the
 runtime sanitizer is armed. That install is deferred: the caches take
 the class tallies at once and build their sets from the recorded
 snapshot only if something touches them (see
@@ -902,10 +902,8 @@ def compiled_for(sim, trace, sample_period: int) -> CompiledTrace:
 def ineligibility(sim, trace) -> str | None:
     """Why a compiled replay cannot run, or ``None`` when it can.
 
-    The checks mirror :func:`execute_compiled`'s gate exactly, in the
-    same order; the returned string is one of
-    :data:`repro.fastpath.FALLBACK_REASONS` and feeds the
-    engine-selection telemetry.
+    The returned string is one of :data:`repro.fastpath.FALLBACK_REASONS`
+    and feeds the engine-selection telemetry.
     """
     if sanitizer.active() is not None:
         return "sanitizer_armed"
@@ -972,14 +970,12 @@ def _run_segment(events, prog, mp, now, bf, queue, exposed,
 def execute_compiled(sim, trace, warmup: float, sample_period: int):
     """Replay ``trace``'s lowering through ``sim``; None when ineligible.
 
-    Eligibility mirrors the fast-path contract: no armed sanitizer (the
-    reference helpers carry its per-insert checks), and additionally
-    cold caches — the lowering starts from empty contents, and the
-    recorded final state is installed on the real caches afterwards
-    (deferred, built on first touch) so warm reuse and the live
-    line-count gauges behave exactly as if the per-event engine had
-    run. :func:`ineligibility` names the reason
-    a run is turned away.
+    :func:`repro.fastpath.execute` calls it only for runs
+    :func:`ineligibility` accepts; the check here guards direct callers.
+    The lowering starts from empty caches, and the recorded final state
+    is installed on the real caches afterwards (deferred, built on first
+    touch) so warm reuse and the live line-count gauges behave exactly
+    as if the reference loop had run.
     """
     if ineligibility(sim, trace) is not None:
         return None
@@ -1081,7 +1077,7 @@ def execute_compiled(sim, trace, warmup: float, sample_period: int):
     sim.demand_misses = measured_misses
 
     # Install the recorded end-of-run cache contents: warm reuse and the
-    # live occupancy gauges see exactly what the per-event engine leaves.
+    # live occupancy gauges see exactly what the reference loop leaves.
     l2.restore_state(*artifact.final_l2)
     counter_cache.restore_state(*artifact.final_cc)
     if node_cache is not None:

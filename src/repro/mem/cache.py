@@ -127,8 +127,8 @@ class SetAssociativeCache:
     def credit_demand(self, hits: int, misses: int, writebacks: int = 0) -> None:
         """Credit batched hit/miss/writeback tallies to the statistics.
 
-        The :mod:`repro.fastpath` loop accumulates per-access outcomes in
-        local variables and settles them here in one call; routing the
+        The compiled trace replay (:mod:`repro.fastpath.compiled`)
+        settles the measured interval's tallies here in one call; routing the
         settlement through the owning cache keeps every ``stats`` write
         inside this module (the OBS001 invariant) and keeps pull-model
         gauges bound over ``self.stats`` truthful at snapshot time.
@@ -162,7 +162,7 @@ class SetAssociativeCache:
         lowering evolves a model of this cache off the clock and records
         where every line ended up; installing that snapshot afterwards
         makes warm reuse and the live ``lines.*`` gauges behave exactly
-        as if the per-event engine had run. ``sets`` is a sequence with
+        as if the reference loop had run. ``sets`` is a sequence with
         one entry per set, each an iterable of ``(block, (dirty,
         line_class))`` items, LRU first, or a mapping of them — whatever
         ``OrderedDict(entry)`` rebuilds.
@@ -173,8 +173,8 @@ class SetAssociativeCache:
         slot is left unset and the instance becomes a
         :class:`_PendingInstall` until the first read of ``_sets`` builds
         it (copied, never shared) and turns it back. That read may come
-        from any operation, the sanitizer's recount, a pickle, or the
-        per-event engine, and none of their code changes. A cold sweep
+        from any operation, the sanitizer's recount, a pickle, or a
+        direct attribute read, and none of their code changes. A cold sweep
         that throws the machine away, or :meth:`clear` before the next
         run, never builds it, so ``sets`` must stay unchanged afterwards.
         A second install replaces a pending one.

@@ -95,7 +95,6 @@ def register_engine_telemetry(registry, sim, prefix: str = "engine"):
     """
     scope = registry.scoped(prefix)
     scope.bind("runs.compiled", lambda: sim.engine_telemetry.compiled)
-    scope.bind("runs.per_event", lambda: sim.engine_telemetry.per_event)
     scope.bind("runs.reference", lambda: sim.engine_telemetry.reference)
     scope.bind("fallback_reasons", lambda: dict(sim.engine_telemetry.fallbacks))
     memo = scope.scoped("lowering_memo")

@@ -51,11 +51,11 @@ import json
 import os
 from dataclasses import dataclass, field
 
-# Engine attribution values a cell record may carry: the three execution
+# Engine attribution values a cell record may carry: the two execution
 # engines (see repro.fastpath) plus "cached" for cells served from the
 # disk result cache without simulating. Kept as plain data — obs must
 # not import the engine layer it observes.
-CELL_ENGINES = ("compiled", "per_event", "reference", "cached")
+CELL_ENGINES = ("compiled", "reference", "cached")
 
 # Sources a cell result can come from.
 SOURCE_POOL = "pool"            # simulated in a worker process
@@ -345,7 +345,7 @@ def validate_fleet_payload(doc) -> list[str]:
             cached += 1
         else:
             simulated += 1
-        if engine in ("per_event", "reference") and not cell.get("fallback_reason"):
+        if engine == "reference" and not cell.get("fallback_reason"):
             problems.append(f"{where}: {engine} cell lacks a fallback_reason")
         if engine == "compiled" and cell.get("fallback_reason"):
             problems.append(f"{where}: compiled cell carries a fallback_reason")

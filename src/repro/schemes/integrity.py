@@ -10,7 +10,6 @@ per-block MAC fetches, and the section-5.2 caching policy split).
 from __future__ import annotations
 
 from ..core.config import INT_BMT, INT_LOGHASH, INT_MAC, INT_MT, INT_NONE
-from ..core.errors import ConfigurationError
 from ..integrity.geometry import TreeGeometry
 from .base import IntegrityScheme
 
@@ -83,11 +82,7 @@ class BonsaiMerkleScheme(IntegrityScheme):
     requires_counters = True
 
     def plan_tree(self, config, data_bytes, counter_base, counter_bytes, prd_bytes, tree_base):
-        if counter_bytes == 0:
-            raise ConfigurationError(
-                "a Bonsai Merkle Tree needs counter storage to cover: "
-                "use a counter-mode encryption scheme with it"
-            )
+        # MachineConfig rejects counter-free encryption (requires_counters).
         covered = counter_bytes + prd_bytes
         return TreeGeometry(counter_base, covered, tree_base, config.mac_bytes)
 

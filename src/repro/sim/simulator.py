@@ -51,18 +51,18 @@ def run_label(config: MachineConfig, label: str | None) -> str:
 class TimingSimulator:
     """Runs traces against one machine configuration.
 
-    ``run()`` has three interchangeable execution engines: the compiled
-    trace replay (:mod:`repro.fastpath.compiled` — a memoized lowering
-    of the trace replayed per configuration; the default for cold-start
-    runs), the batched per-event loop (:mod:`repro.fastpath.engine` —
-    warm reuse, an armed sanitizer, or deferred tree updates), and the
-    instrumented reference loop in :meth:`_run_reference`, required
-    whenever a :mod:`repro.obs` session is active. Both per-event loops
-    send every L2 miss through :meth:`_miss` and its helpers, the one
-    home of the traffic model; the lowering applies the same state
-    transitions off the clock. All three compute the identical
-    arithmetic in the identical order, so results — including the
-    committed figure-6 golden sweep — are byte-identical whichever runs.
+    ``run()`` has two interchangeable execution engines, chosen by
+    :func:`repro.fastpath.execute`: the compiled trace replay
+    (:mod:`repro.fastpath.compiled` — a memoized lowering of the trace
+    replayed per configuration; the default for cold-start runs) and the
+    instrumented reference loop in :meth:`_run_reference`, which serves
+    every run the replay cannot model and every run under an active
+    :mod:`repro.obs` session. The reference loop sends every L2 miss
+    through :meth:`_miss` and its helpers, the one home of the traffic
+    model; the lowering applies the same state transitions off the
+    clock. Both compute the identical arithmetic in the identical order,
+    so results — including the committed figure-6 golden sweep — are
+    byte-identical whichever runs.
     """
 
     __slots__ = (
@@ -469,33 +469,21 @@ class TimingSimulator:
         active, live hooks (event tracing, interval samples, phase
         attribution) are armed at the warmup boundary — the tracer clock
         is rebased there, so warmup activity never appears in the measured
-        timeline. With no session active and :mod:`repro.fastpath`
-        enabled (the default), the fast engines run instead of the
-        instrumented loop — the compiled trace replay when this run
-        starts cold, the batched per-event loop otherwise; every engine
-        produces bit-identical results.
+        timeline. :func:`repro.fastpath.execute` picks the engine: the
+        compiled trace replay when no session is active, the fast-path
+        gate is on and the replay can model the run, the instrumented
+        reference loop otherwise; both produce bit-identical results.
         """
         self.bus.rebase(0.0)
         self._hooks = None
         self._reset_stats()
-        session = obs.session()
-        if session is None and fastpath.enabled():
-            now, measured_from, measured_instructions = fastpath.execute(
-                self, trace, warmup, _OCCUPANCY_SAMPLE_PERIOD
-            )
-        else:
-            self.engine_telemetry.record(
-                fastpath.ENGINE_REFERENCE,
-                "obs_session" if session is not None else "fastpath_gate_off",
-            )
-            now, measured_from, measured_instructions = self._run_reference(
-                trace, warmup, session
-            )
+        now, measured_from, measured_instructions = fastpath.execute(
+            self, trace, warmup, _OCCUPANCY_SAMPLE_PERIOD, obs.session()
+        )
 
         # End-of-run drain: a deferred tree owes the bus its queued walks
-        # before the run's traffic accounting closes. Shared by both
-        # engines that serve deferred schemes — each runs the reference
-        # helpers — so results stay byte-identical.
+        # before the run's traffic accounting closes (deferred schemes
+        # always run on the reference loop).
         if self._deferred_updates:
             self._drain_pending_walks(now)
 
@@ -520,17 +508,20 @@ class TimingSimulator:
             **sim_result_fields(snapshot, measured_cycles),
         )
 
-    def _run_reference(self, trace: Trace, warmup: float, session) -> tuple[float, float, int]:
-        """The instrumented per-event loop: the pre-fastpath implementation.
+    def _run_reference(self, trace: Trace, warmup: float, sample_period: int,
+                       session) -> tuple[float, float, int]:
+        """The instrumented reference loop, one event at a time.
 
         Required whenever a :mod:`repro.obs` session is active (live
-        hooks need per-event callback sites), selected by
-        ``REPRO_FASTPATH=0`` otherwise, and kept as the reference side of
+        hooks need per-event callback sites); it also runs every run the
+        compiled replay cannot model and every run with
+        ``REPRO_FASTPATH=0``, and it is the reference side of
         ``benchmarks/bench_throughput.py``'s speedup measurement.
         """
-        gaps = trace.gaps.tolist()
-        ops = trace.ops.tolist()
-        addresses = ((trace.addresses // BLOCK_SIZE) * BLOCK_SIZE).tolist()
+        decoded = trace.decoded()
+        gaps = decoded.gaps
+        ops = decoded.ops
+        addresses = decoded.addresses
 
         l2 = self.l2
         issue = self.issue_width
@@ -539,7 +530,7 @@ class TimingSimulator:
         now = 0.0
         pending_hooks = SimHooks(self, session) if session is not None else None
         hooks = None
-        sample_countdown = _OCCUPANCY_SAMPLE_PERIOD
+        sample_countdown = sample_period
         warm_events = int(len(addresses) * warmup)
         measured_from = 0.0
         measured_instructions = 0
@@ -575,7 +566,7 @@ class TimingSimulator:
             sample_countdown -= 1
             if sample_countdown == 0:
                 l2.tick_occupancy()
-                sample_countdown = _OCCUPANCY_SAMPLE_PERIOD
+                sample_countdown = sample_period
 
         if addresses and warm_events >= len(addresses):
             # Degenerate warmup covering the whole trace: nothing measured.

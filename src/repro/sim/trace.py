@@ -21,13 +21,12 @@ OP_WRITE = 1
 
 
 class DecodedTrace:
-    """A trace pre-decoded for the :mod:`repro.fastpath` timing loop.
+    """A trace pre-decoded for the timing simulator's reference loop.
 
     Plain Python lists (gaps, ops, block-aligned addresses): iterating
     numpy arrays yields a fresh scalar object per element, so the hot
-    loop runs over native ints instead. Addresses are aligned with the
-    exact expression the reference loop uses, keeping results
-    byte-identical.
+    loop runs over native ints instead. :meth:`Trace.decoded` is the one
+    place the decode (and the block alignment of addresses) is written.
     """
 
     __slots__ = ("gaps", "ops", "addresses")
@@ -94,9 +93,8 @@ class Trace:
     def decoded(self) -> DecodedTrace:
         """The pre-decoded form of this trace, computed once and memoized.
 
-        The numpy→list conversion was previously redone on every
-        ``TimingSimulator.run``; a trace is immutable in practice, so the
-        decoded columns are cached on the instance. The memo is dropped
+        A trace is immutable in practice, so the numpy→list conversion
+        is paid once and the decoded columns are cached on the instance. The memo is dropped
         on pickling (:meth:`__getstate__`) — process-pool workers rebuild
         it locally rather than paying to ship three redundant lists.
         """

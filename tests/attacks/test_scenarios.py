@@ -9,6 +9,7 @@ block, so every attacked block is already measured.
 
 import pytest
 
+from repro.api import preset_names
 from repro.attacks.scenarios import (
     counter_tamper_attack,
     replay_attack,
@@ -17,10 +18,26 @@ from repro.attacks.scenarios import (
     spoofing_attack,
 )
 from repro.attacks.tamper import MemoryTamperer
+from repro.core.config import MachineConfig
+from repro.core.machine import SecureMemorySystem
+from repro.schemes import encryption_scheme
 
 from tests.conftest import make_machine
 
 TINY = 16 * 4096
+
+# The scenarios module's docstring matrix, one column per integrity
+# scheme (bmt_lazy has the bonsai column): spoof, splice, replay,
+# counter tamper.
+MATRIX = {
+    "mac_only": (True, True, False, False),
+    "merkle": (True, True, True, True),
+    "bonsai": (True, True, True, True),
+    "bmt_lazy": (True, True, True, True),
+    "loghash": (False, False, False, False),  # caught only at the next check
+    "none": (False, False, False, False),
+}
+SCENARIOS = ("spoofing", "splicing", "replay", "counter-tamper")
 
 
 class TestDetectionMatrix:
@@ -73,6 +90,21 @@ class TestDetectionMatrix:
         for page in range(TINY // 4096):
             tree.verify(machine.encryption.counter_block_address(page * 4096))
         assert tree.adoptions == adopted  # boot measured every counter block
+
+    @pytest.mark.parametrize("label", preset_names(full=True))
+    def test_run_all_returns_the_documented_matrix(self, label):
+        """Every scenario's verdict comes from its own tamper, on every
+        preset: none trips over metadata an earlier scenario rolled back."""
+        config = MachineConfig.preset(label, physical_bytes=TINY)
+        machine = SecureMemorySystem(config)
+        machine.boot()
+        rows = len(SCENARIOS) if encryption_scheme(config.encryption).uses_counters else 3
+        expected = dict(zip(SCENARIOS[:rows], MATRIX[config.integrity]))
+        assert {r.scenario: r.detected for r in run_all(machine)} == expected
+
+    def test_run_all_needs_five_pages(self):
+        with pytest.raises(ValueError, match="5 data pages"):
+            run_all(make_machine(data_bytes=4 * 4096))
 
     def test_bmt_with_global64_also_protects(self):
         machine = make_machine(encryption="global64", integrity="bonsai", data_bytes=TINY)

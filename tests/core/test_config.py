@@ -61,6 +61,13 @@ class TestValidation:
     def test_accepts_the_64_byte_block(self):
         assert MachineConfig(block_size=64).block_size == 64
 
+    @pytest.mark.parametrize("name", ["base+bmt", "base+bmt_lazy",
+                                      "direct+bmt", "direct+bmt_lazy"])
+    def test_rejects_a_bonsai_tree_without_counters_at_construction(self, name):
+        # A Bonsai tree covers counters; counter-free encryption has none.
+        with pytest.raises(ConfigurationError, match="counter storage"):
+            MachineConfig.preset(name)
+
 
 class TestDerived:
     @pytest.mark.parametrize("bits,arity", [(32, 16), (64, 8), (128, 4), (256, 2)])

@@ -41,7 +41,7 @@ class TestSerialFleetSweep:
         assert fleet.validate_fleet_payload(report.to_payload()) == []
         for record in report.cells:
             assert record["engine"] in fleet.CELL_ENGINES
-            if record["engine"] in ("per_event", "reference"):
+            if record["engine"] == "reference":
                 assert record["fallback_reason"]
             elif record["engine"] == "compiled":
                 assert not record["fallback_reason"]

@@ -264,7 +264,7 @@ def sanitized_insert(cache):
 
 
 def engine_probe(cache):
-    # The per-event engine's inlined demand lookup reads ``_sets`` directly.
+    # A demand lookup inlined over the raw sets reads ``_sets`` directly.
     sets = cache._sets
     block = 5
     entry = sets[block % cache.num_sets].get(block)

@@ -1,22 +1,25 @@
 """Engine-selection telemetry: which engine ran a cell, and why.
 
 Every ``TimingSimulator.run`` is attributed to exactly one engine —
-compiled trace replay, batched per-event loop, or the instrumented
-reference loop — with a fallback *reason* whenever the compiled engine
-was passed over. The counters are exposed through pull-model gauges
+compiled trace replay or the instrumented reference loop — with a
+fallback *reason* whenever the compiled engine was passed over. The counters are exposed through pull-model gauges
 bound in ``repro.obs.adapters`` (the OBS002 discipline), so fleet
 snapshots, Prometheus exposition, and progress records all read the
 same attribution.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
 import repro.obs as obs
 from repro import fastpath
 from repro.core import sanitizer
+from repro.core.config import MachineConfig
 from repro.evalx.runner import config_named
 from repro.fastpath import EngineTelemetry
 from repro.sim.simulator import TimingSimulator
+from repro.sim.trace import Trace
 from repro.workloads.synthetic import resident_trace
 
 
@@ -44,9 +47,9 @@ class TestEngineTelemetryObject:
     def test_record_tracks_engines_and_reasons(self):
         t = EngineTelemetry()
         t.record(fastpath.ENGINE_COMPILED)
-        t.record(fastpath.ENGINE_PER_EVENT, "warm_caches")
+        t.record(fastpath.ENGINE_REFERENCE, "warm_caches")
         t.record(fastpath.ENGINE_REFERENCE, "obs_session")
-        assert (t.compiled, t.per_event, t.reference) == (1, 1, 1)
+        assert (t.compiled, t.reference) == (1, 2)
         assert t.runs == 3
         assert t.fallbacks == {"warm_caches": 1, "obs_session": 1}
         assert t.last_engine == fastpath.ENGINE_REFERENCE
@@ -91,7 +94,7 @@ class TestRunAttribution:
         sim.run(trace, label="aise+bmt")
         t = sim.engine_telemetry
         assert t.runs == 2
-        assert t.last_engine == fastpath.ENGINE_PER_EVENT
+        assert t.last_engine == fastpath.ENGINE_REFERENCE
         assert t.last_reason == "warm_caches"
         assert t.fallbacks == {"warm_caches": 1}
 
@@ -118,9 +121,9 @@ class TestRunAttribution:
             sim.run(trace, label="aise+bmt")
         sim2 = fresh_sim()
         sim2.run(trace, label="aise+bmt")
-        sim2.run(trace, label="aise+bmt")  # warm: the per-event engine
+        sim2.run(trace, label="aise+bmt")  # warm: the reference loop
         for t, expected in ((sim.engine_telemetry, 1), (sim2.engine_telemetry, 2)):
-            assert t.compiled + t.per_event + t.reference == t.runs == expected
+            assert t.compiled + t.reference == t.runs == expected
 
     def test_reasons_come_from_the_published_vocabulary(self):
         sim = fresh_sim()
@@ -183,7 +186,6 @@ class TestRegistryExposure:
         sim.run(resident_trace(3000), label="aise+bmt")
         snap = sim.registry.snapshot()
         assert snap["engine.runs.compiled"] == 1
-        assert snap["engine.runs.per_event"] == 0
         assert snap["engine.runs.reference"] == 0
         assert snap["engine.fallback_reasons"] == {}
         assert snap["engine.lowering_memo.misses"] + snap["engine.lowering_memo.hits"] == 1
@@ -204,11 +206,47 @@ class TestResultsUnchanged:
         trace = resident_trace(3000)
         fast = fresh_sim()
         compiled = fast.run(trace, label="aise+bmt")
-        per_event = fast.run(trace, label="aise+bmt")  # warm second run
-        assert fast.engine_telemetry.last_engine == fastpath.ENGINE_PER_EVENT
+        warm = fast.run(trace, label="aise+bmt")  # warm second run
+        assert fast.engine_telemetry.last_engine == fastpath.ENGINE_REFERENCE
         ref = fresh_sim()
         with fastpath.forced(False):
             reference = ref.run(trace, label="aise+bmt")
             warm_reference = ref.run(trace, label="aise+bmt")
         assert compiled.to_dict() == reference.to_dict()
-        assert per_event.to_dict() == warm_reference.to_dict()
+        assert warm.to_dict() == warm_reference.to_dict()
+
+
+# For each fallback reason: (preset, trace events, warm the caches with a
+# first run, context the measured run executes in).
+_REASON_CASES = {
+    "obs_session": ("aise+bmt", 3000, False, obs.observed),
+    "fastpath_gate_off": ("aise+bmt", 3000, False, lambda: fastpath.forced(False)),
+    "sanitizer_armed": ("aise+bmt", 3000, False, sanitizer.sanitized),
+    "deferred_updates": ("aise+bmt_lazy", 3000, False, nullcontext),
+    "warm_caches": ("aise+bmt", 3000, True, nullcontext),
+    "empty_trace": ("aise+bmt", 0, False, nullcontext),
+}
+
+
+class TestEngineChoice:
+    @pytest.mark.parametrize("reason", fastpath.FALLBACK_REASONS)
+    def test_reason_sends_one_run_to_the_reference_loop(self, reason):
+        preset, events, warm, context = _REASON_CASES[reason]
+        trace = resident_trace(events) if events else Trace.from_lists([])
+
+        def run(sim, context):
+            if warm:
+                sim.run(trace, label=preset)
+            with context():
+                return sim.run(trace, label=preset)
+
+        sim = TimingSimulator(MachineConfig.preset(preset))
+        result = run(sim, context)
+        t = sim.engine_telemetry
+        assert (t.compiled, t.reference) == (int(warm), 1)  # warm: run 1 replayed
+        assert t.fallbacks == {reason: 1}
+        assert (t.last_engine, t.last_reason) == (fastpath.ENGINE_REFERENCE, reason)
+
+        with fastpath.forced(False):
+            expected = run(TimingSimulator(MachineConfig.preset(preset)), nullcontext)
+        assert result.to_dict() == expected.to_dict()

@@ -151,7 +151,7 @@ class TestFleetCollector:
         c = fleet.FleetCollector()
         c.begin(total=3, workers=2, events=1000)
         c.add_cell(cell(metrics={"bus.transfers": 10, "l2.miss_rate": 0.2}))
-        c.add_cell(cell(bench="mcf", engine="per_event", reason="warm_caches",
+        c.add_cell(cell(bench="mcf", engine="reference", reason="warm_caches",
                         worker=2, metrics={"bus.transfers": 5, "l2.miss_rate": 0.4}))
         c.add_cell(cell(bench="art", source=fleet.SOURCE_CACHE,
                         engine="cached", metrics={}))
@@ -164,7 +164,7 @@ class TestFleetCollector:
         assert report.total == 3
         assert report.simulated == 2
         assert report.cached == 1
-        assert report.engines == {"compiled": 1, "per_event": 1, "cached": 1}
+        assert report.engines == {"compiled": 1, "reference": 1, "cached": 1}
         assert sum(report.engines.values()) == report.total
         assert report.fallback_reasons == {"warm_caches": 1}
         assert report.aggregate["bus.transfers"] == 15
@@ -191,7 +191,7 @@ class TestFleetCollector:
     def test_validator_requires_fallback_reasons(self):
         c = fleet.FleetCollector()
         c.begin(1, 1, 1000)
-        c.add_cell(cell(engine="per_event", reason=None))
+        c.add_cell(cell(engine="reference", reason=None))
         payload = c.finish(1.0).to_payload()
         assert any("fallback_reason" in p
                    for p in fleet.validate_fleet_payload(payload))

@@ -99,13 +99,13 @@ class TestEngineTelemetryOverhead:
         assert t.lowering_hits + t.lowering_misses == 1
 
     def test_record_is_cheap(self):
-        from repro.fastpath import ENGINE_PER_EVENT, EngineTelemetry
+        from repro.fastpath import ENGINE_REFERENCE, EngineTelemetry
 
         t = EngineTelemetry()
 
         def loop():
             for _ in range(ROUNDS):
-                t.record(ENGINE_PER_EVENT, "warm_caches")
+                t.record(ENGINE_REFERENCE, "warm_caches")
 
         assert best_of(loop) / ROUNDS < CEILING
 

@@ -156,28 +156,28 @@ class TestTimingSimulator:
         config = MachineConfig(encryption="aise", integrity="bmt_lazy")
         runs = {}
         sims = {}
-        for mode in ("reference", "per_event"):
+        for mode in ("gate_off", "gate_on"):
             sim = TimingSimulator(config)
-            with fastpath.forced(mode == "per_event"):
+            with fastpath.forced(mode == "gate_on"):
                 runs[mode] = [
                     dataclasses.asdict(sim.run(trace, warmup=0.3,
                                                collect_metrics=True))
                     for trace in traces
                 ]
             sims[mode] = sim
-        assert sims["per_event"].engine_telemetry.per_event == 2
-        assert runs["per_event"] == runs["reference"]
+        assert sims["gate_on"].engine_telemetry.fallbacks == {"deferred_updates": 2}
+        assert runs["gate_on"] == runs["gate_off"]
         # The deferral actually happened (this workload thrashes the
         # counter cache) and the queue fully drained at end of run.
-        assert sims["reference"].tree_deferred > 0
-        assert not sims["reference"]._pending_walks
+        assert sims["gate_off"].tree_deferred > 0
+        assert not sims["gate_off"]._pending_walks
 
     def test_compiled_engine_bows_out_with_the_declared_reason(self):
         trace = self._trace()
         sim = TimingSimulator(MachineConfig(encryption="aise", integrity="bmt_lazy"))
         with fastpath.forced(True):
             sim.run(trace, warmup=0.3)
-        assert sim.engine_telemetry.last_engine == fastpath.ENGINE_PER_EVENT
+        assert sim.engine_telemetry.last_engine == fastpath.ENGINE_REFERENCE
         assert sim.engine_telemetry.last_reason == "deferred_updates"
         assert "deferred_updates" in fastpath.FALLBACK_REASONS
 

@@ -115,9 +115,10 @@ class TestSchemeCrossProduct:
 
     @pytest.mark.parametrize("preset", preset_names(full=True))
     def test_presets_match_the_per_event_engine_too(self, preset):
-        """Every preset, twice on one machine: the warm second run takes
-        the per-event engine and must equal the reference loop's warm
-        second run."""
+        """Every preset, twice on one machine with the gate on: the warm
+        second run falls back to the reference loop (warm caches, or
+        deferred updates from the start) and must equal the gate-off
+        reference loop's warm second run."""
         trace = random_trace(seed=7)
         config = MachineConfig.preset(preset)
         ref_sim = TimingSimulator(config)
@@ -126,7 +127,7 @@ class TestSchemeCrossProduct:
         sim = TimingSimulator(config)
         with fastpath.forced(True):
             fast = [as_fields(sim.run(trace)) for _ in range(2)]
-        assert sim.engine_telemetry.last_engine == fastpath.ENGINE_PER_EVENT
+        assert sim.engine_telemetry.last_engine == fastpath.ENGINE_REFERENCE
         assert sim.engine_telemetry.last_reason in ("warm_caches",
                                                     "deferred_updates")
         assert fast == ref
@@ -146,7 +147,7 @@ class TestEdges:
 
         The compiled replay only engages on cold caches (it installs the
         recorded final contents afterwards), so run two must fall back to
-        the per-event engine — and both runs must equal the reference.
+        the reference loop — and both runs must equal the gate-off runs.
         """
         trace = random_trace(events=2000, seed=11)
         config = MachineConfig.preset("aise+bmt")
@@ -461,9 +462,9 @@ class TestDifferential:
 
         The first run lowers (sequentially for these schemes) and leaves
         the recorded final contents as a pending install; the second
-        run on the same machines sees warm caches, so the per-event
-        engine builds that install on its first ``_sets`` read — and
-        must still match the reference loop's warm second run.
+        run on the same machines sees warm caches, so the reference
+        loop builds that install on its first cache read — and must
+        still match the gate-off reference loop's warm second run.
         """
         checked = 0
         for config in sequential_configs(caches, cached_macs):
