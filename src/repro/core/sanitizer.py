@@ -57,6 +57,9 @@ class SanitizerConfig:
     spot_check_interval: int = 64
 
 
+# The armed configuration. The hottest seam (``SetAssociativeCache.insert``)
+# reads it as ``sanitizer._active`` — one load, no call — before calling
+# :func:`enabled`; everyone else goes through the functions below.
 _active: SanitizerConfig | None = None
 
 

@@ -66,7 +66,7 @@ from itertools import chain, islice
 import numpy as np
 
 from ..core import sanitizer
-from ..mem.cache import CODE, COUNTER, DATA, LINE_CLASSES, MAC, MERKLE
+from ..mem.cache import CODE, COUNTER, DATA, DIRTY, LINE, MAC, MERKLE
 from ..mem.layout import BLOCK_SIZE
 
 # Transfer-kind codes. Each miss's bus traffic is recorded as a tuple of
@@ -144,11 +144,6 @@ def _token_matrices():
 
 
 _TOKEN_KCOUNTS, _TOKEN_METAS = _token_matrices()
-
-# Cache-line values (dirty, class), immutable and shared by every line
-# they describe: ``_LINE[line_class][dirty]``.
-_LINE = {cls: ((False, cls), (True, cls)) for cls in LINE_CLASSES}
-_DIRTY = {cls: lines[True] for cls, lines in _LINE.items()}
 
 _MEMO_CAPACITY = 2  # lowerings kept per Trace (sweeps replay one)
 
@@ -360,7 +355,7 @@ def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
     ctr_leaf0 = (ctr_base - covered_start) // bs
 
     # Model cache state (cold: execute_compiled only replays onto cold
-    # caches). Lines are the shared (dirty, class) tuples of _LINE.
+    # caches). Lines are the interned (dirty, class) tuples of LINE.
     l2_nsets = l2.num_sets
     l2_assoc = l2.assoc
     l2_num_lines = l2.num_lines
@@ -383,10 +378,10 @@ def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
 
     ev: list = []  # the current miss's key, as it is built
     push = ev.append
-    data_lines = _LINE[DATA]
-    counter_lines = _LINE[COUNTER]
-    merkle_lines = _LINE[MERKLE]
-    mac_lines = _LINE[MAC]
+    data_lines = LINE[DATA]
+    counter_lines = LINE[COUNTER]
+    merkle_lines = LINE[MERKLE]
+    mac_lines = LINE[MAC]
 
     def tree_walk(index, make_dirty):
         # ``index`` is the covered block's leaf index.
@@ -400,7 +395,7 @@ def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
             if entry is not None:
                 cache_set.move_to_end(block)
                 if make_dirty and not entry[0]:
-                    cache_set[block] = _DIRTY[entry[1]]
+                    cache_set[block] = DIRTY[entry[1]]
                 push(_T_NODE_HIT)
                 return fetched
             push(K_MERKLE)
@@ -429,7 +424,7 @@ def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
         if entry is not None:
             cache_set.move_to_end(block)
             if write and not entry[0]:
-                cache_set[block] = _DIRTY[entry[1]]
+                cache_set[block] = DIRTY[entry[1]]
             push(_T_CC_HIT)
             return
         push(K_COUNTER)
@@ -463,7 +458,7 @@ def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
         if entry is not None:
             cache_set.move_to_end(block)
             if write and not entry[0]:
-                cache_set[block] = _DIRTY[entry[1]]
+                cache_set[block] = DIRTY[entry[1]]
             push(_T_MAC_HIT)
             return 0
         push(K_MAC)
@@ -515,7 +510,7 @@ def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
             if entry is not None:
                 cache_set.move_to_end(block)
                 if writes[i] and not entry[0]:
-                    cache_set[block] = _DIRTY[entry[1]]
+                    cache_set[block] = DIRTY[entry[1]]
                 continue
             miss_events.append(i)
             ev.clear()
@@ -720,7 +715,7 @@ class PackedSets:
 
     def __iter__(self):
         lines = list(zip(self.blocks.tolist(),
-                         map(_LINE[self.line_class].__getitem__,
+                         map(LINE[self.line_class].__getitem__,
                              self.dirty.tolist())))
         ends = np.cumsum(self.per_set).tolist()
         return (tuple(lines[a:b]) for a, b in zip([0] + ends[:-1], ends))
@@ -986,10 +981,8 @@ def execute_compiled(sim, trace, warmup: float, sample_period: int):
 
     artifact = compiled_for(sim, trace, sample_period)
     bus = sim.bus
-    mac_bytes = sim._mac_bytes
-    cycles_per_block = bus.cycles_per_block
-    full_dur = max(1, round(cycles_per_block * 1.0))
-    mac_frac_dur = max(1, round(cycles_per_block * (mac_bytes / BLOCK_SIZE)))
+    full_dur = bus.duration(1.0)
+    mac_frac_dur = bus.duration(sim._mac_bytes / BLOCK_SIZE)
 
     prog = artifact.prog(full_dur, mac_frac_dur)
     m = artifact.misses

@@ -10,8 +10,8 @@ resulting utilization).
 Time on the bus is a **float**, matching the simulator's clock (which
 advances by fractional instruction gaps): request timestamps, busy and
 queue cycles are all float-valued. Transfer *durations* stay integral
-(``round(cycles_per_block * fraction)``) so sub-block transfers quantize
-deterministically.
+(``max(1, round(cycles_per_block * fraction))``, memoized per fraction)
+so sub-block transfers quantize deterministically.
 """
 
 from __future__ import annotations
@@ -40,19 +40,47 @@ class BusStats:
         return min(1.0, self.busy_cycles / total_cycles)
 
 
+class _Durations(dict):
+    """Transfer duration per fraction of a block, computed on first use.
+
+    The one home of duration quantization: :meth:`MemoryBus.request`
+    and the compiled replay both read it.
+    """
+
+    __slots__ = ("cycles_per_block",)
+
+    def __init__(self, cycles_per_block: int):
+        super().__init__()
+        self.cycles_per_block = cycles_per_block
+
+    def __missing__(self, fraction: float) -> int:
+        duration = self[fraction] = max(1, round(self.cycles_per_block * fraction))
+        return duration
+
+
 class MemoryBus:
     """A single shared channel between the processor chip and DRAM."""
 
-    __slots__ = ("cycles_per_block", "_free_at", "stats", "tracer")
+    __slots__ = ("_durations", "_free_at", "stats", "tracer")
 
     def __init__(self, cycles_per_block: int = DEFAULT_CYCLES_PER_BLOCK):
-        self.cycles_per_block = cycles_per_block
+        self._durations = _Durations(cycles_per_block)
         self._free_at = 0.0
         self.stats = BusStats()
         # Optional observability tap: when a repro.obs EventTracer is
         # attached (by SimHooks during a traced run), every grant emits a
         # bus_grant event. None by default — one comparison per request.
         self.tracer = None
+
+    @property
+    def cycles_per_block(self) -> int:
+        """Bus cycles one full-block transfer occupies (fixed at construction)."""
+        return self._durations.cycles_per_block
+
+    def duration(self, fraction: float = 1.0) -> int:
+        """The quantized occupancy of a transfer of ``fraction`` of a block:
+        ``max(1, round(cycles_per_block * fraction))``, memoized per fraction."""
+        return self._durations[fraction]
 
     def request(self, cycle: float, kind: str = "data", fraction: float = 1.0) -> tuple[float, float]:
         """Schedule one transfer wishing to start at ``cycle``.
@@ -62,15 +90,17 @@ class MemoryBus:
         ``(start_cycle, end_cycle)``: the transfer occupies the bus from
         ``start_cycle`` (>= cycle, after queueing) to ``end_cycle``.
         """
-        duration = max(1, round(self.cycles_per_block * fraction))
-        start = self._free_at if self._free_at > cycle else cycle
+        duration = self._durations[fraction]
+        free_at = self._free_at
+        start = free_at if free_at > cycle else cycle
         end = start + duration
         self._free_at = end
         stats = self.stats
         stats.transfers += 1
         stats.busy_cycles += duration
         stats.queue_cycles += start - cycle
-        stats.transfers_by_kind[kind] = stats.transfers_by_kind.get(kind, 0) + 1
+        by_kind = stats.transfers_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
         if self.tracer is not None:
             self.tracer.emit("bus_grant", ts=start, kind=kind, dur=duration,
                              queued=start - cycle)

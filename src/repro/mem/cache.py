@@ -22,6 +22,13 @@ MAC = "mac"
 
 LINE_CLASSES = (DATA, CODE, COUNTER, MERKLE, MAC)
 
+# Cache-line values ``(dirty, line_class)``, interned: every line of one
+# class and dirtiness is the same tuple, ``LINE[line_class][dirty]``, and
+# ``DIRTY[line_class]`` is the dirty one. Fills allocate nothing, and
+# emptying a cache frees no per-line garbage.
+LINE = {cls: ((False, cls), (True, cls)) for cls in LINE_CLASSES}
+DIRTY = {cls: lines[True] for cls, lines in LINE.items()}
+
 
 @dataclass(slots=True)
 class Eviction:
@@ -92,8 +99,8 @@ class SetAssociativeCache:
         self.block_size = block_size
         self.num_sets = size_bytes // (assoc * block_size)
         self.num_lines = self.num_sets * assoc
-        # Each set maps block_index -> (dirty, line_class); OrderedDict keeps
-        # LRU order with the most recently used entry last.
+        # Each set maps block_index -> a LINE value (dirty, line_class);
+        # OrderedDict keeps LRU order with the most recently used entry last.
         self._sets: list[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
         self._pending = None  # a restore_state snapshot not yet built
         self._class_lines: dict[str, int] = {}
@@ -206,7 +213,7 @@ class SetAssociativeCache:
             return False
         cache_set.move_to_end(block)
         if write and not entry[0]:
-            cache_set[block] = (True, entry[1])
+            cache_set[block] = DIRTY[entry[1]]
         self.stats.hits += 1
         return True
 
@@ -214,29 +221,31 @@ class SetAssociativeCache:
         """Fill the block containing ``address``, evicting LRU if needed.
 
         Returns the eviction (if a victim was displaced) so the caller can
-        model the writeback.
+        model the writeback. ``line_class`` is one of :data:`LINE_CLASSES`.
         """
         block = address // self.block_size
         cache_set = self._sets[block % self.num_sets]
+        tallies = self._class_lines
         entry = cache_set.get(block)
         if entry is not None:
             # Refill of a present line: merge dirty bit, refresh recency.
-            cache_set[block] = (entry[0] or dirty, line_class)
+            cache_set[block] = LINE[line_class][entry[0] or dirty]
             cache_set.move_to_end(block)
             if entry[1] != line_class:
-                self._class_lines[entry[1]] = self._class_lines.get(entry[1], 1) - 1
-                self._class_lines[line_class] = self._class_lines.get(line_class, 0) + 1
+                tallies[entry[1]] = tallies.get(entry[1], 1) - 1
+                tallies[line_class] = tallies.get(line_class, 0) + 1
             return None
         victim = None
         if len(cache_set) >= self.assoc:
             vblock, (vdirty, vclass) = cache_set.popitem(last=False)
-            self._class_lines[vclass] = self._class_lines.get(vclass, 1) - 1
+            tallies[vclass] = tallies.get(vclass, 1) - 1
             if vdirty:
                 self.stats.writebacks += 1
-            victim = Eviction(block=vblock, dirty=vdirty, line_class=vclass)
-        cache_set[block] = (dirty, line_class)
-        self._class_lines[line_class] = self._class_lines.get(line_class, 0) + 1
-        if sanitizer.enabled("cache_inclusion"):
+            victim = Eviction(vblock, vdirty, vclass)
+        cache_set[block] = LINE[line_class][dirty]
+        tallies[line_class] = tallies.get(line_class, 0) + 1
+        # The armed-sanitizer probe: one module-global read per insert.
+        if sanitizer._active is not None:
             self._sanitize_insert(cache_set)
         return victim
 
@@ -247,6 +256,8 @@ class SetAssociativeCache:
         recount (which Figure 9's occupancy fractions depend on) only
         every Nth insert — it walks the whole cache.
         """
+        if not sanitizer.enabled("cache_inclusion"):
+            return
         sanitizer.check(
             len(cache_set) <= self.assoc,
             f"{self.name}: set holds {len(cache_set)} lines, associativity is {self.assoc}",

@@ -238,14 +238,14 @@ class TimingSimulator:
         for base in self._walk_bases:
             index //= arity
             node_addr = base + index * BLOCK_SIZE
-            if l2.lookup(node_addr, write=make_dirty):
+            if l2.lookup(node_addr, make_dirty):
                 return fetched
             self.bus.request(now, "merkle")
             if hooks is not None:
                 hooks.emit("merkle_fetch", ts=now, level=fetched, addr=node_addr,
                            dirty=make_dirty)
             fetched += 1
-            victim = l2.insert(node_addr, MERKLE, dirty=make_dirty)
+            victim = l2.insert(node_addr, MERKLE, make_dirty)
             if victim is not None and victim.dirty:
                 self._writeback(victim, now)
         # Fell off the top: the root register verifies/absorbs the update.
@@ -257,19 +257,20 @@ class TimingSimulator:
         Returns the number of off-chip fetches it issued (0 when the MAC
         was found cached) for the precise-verification mode.
         """
-        mac_addr = self._mac_block_addr(addr)
         if self._cache_data_macs:
-            if self.l2.lookup(mac_addr, write=write):
+            mac_addr = self._mac_block_addr(addr)
+            l2 = self.l2
+            if l2.lookup(mac_addr, write):
                 return 0
             self.bus.request(now, "mac")
-            victim = self.l2.insert(mac_addr, MAC, dirty=write)
+            victim = l2.insert(mac_addr, MAC, write)
             if victim is not None and victim.dirty:
                 self._writeback(victim, now)
             return 1
         # Uncached MACs: every miss fetches, every writeback read-modify-
         # writes — but only the MAC itself crosses the bus, not a full line.
         self.bus.request(now, "mac_wb" if write else "mac",
-                         fraction=self._mac_bytes / BLOCK_SIZE)
+                         self._mac_bytes / BLOCK_SIZE)
         return 0 if write else 1
 
     # -- counter path -----------------------------------------------------------------
@@ -282,19 +283,20 @@ class TimingSimulator:
         and, under a tree scheme, verify — the counter block first.
         """
         cb_addr = self._counter_block_addr(addr)
+        counter_cache = self.counter_cache
         self.counter_accesses += 1
-        if self.counter_cache.lookup(cb_addr, write=write):
+        if counter_cache.lookup(cb_addr, write):
             return 0.0
         self.counter_misses += 1
         if self._hooks is not None:
             self._hooks.emit("counter_miss", ts=now, addr=cb_addr, write=write)
         start, _ = self.bus.request(now, "counter")
         counter_ready = start + self.mem_latency
-        victim = self.counter_cache.insert(cb_addr, COUNTER, dirty=write)
+        victim = counter_cache.insert(cb_addr, COUNTER, write)
         if victim is not None and victim.dirty:
             self._writeback_counter_block(victim.block * BLOCK_SIZE, now)
         if self._walks_tree:
-            self._tree_walk(cb_addr, now, make_dirty=False)
+            self._tree_walk(cb_addr, now, False)
         if write:
             return 0.0  # writebacks are off the critical path
         pad_ready = counter_ready + self.aes_latency
@@ -307,7 +309,7 @@ class TimingSimulator:
         if self._deferred_updates:
             self._defer_walk(cb_addr, now)
         else:
-            self._tree_walk(cb_addr, now, make_dirty=True)
+            self._tree_walk(cb_addr, now, True)
 
     def _defer_walk(self, cb_addr: int, now: float) -> None:
         """Queue a dirty-path walk instead of performing it (bmt_lazy)."""
@@ -336,10 +338,10 @@ class TimingSimulator:
                     self.tree_coalesced += 1
                     continue
                 seen.add(cb_addr)
-                self._tree_walk(cb_addr, now, make_dirty=True)
+                self._tree_walk(cb_addr, now, True)
         else:
             for cb_addr in pending:
-                self._tree_walk(cb_addr, now, make_dirty=True)
+                self._tree_walk(cb_addr, now, True)
 
     # -- writebacks ---------------------------------------------------------------------
 
@@ -351,11 +353,11 @@ class TimingSimulator:
         # Dirty data leaving the chip: encrypt (bump counter) + re-MAC.
         self.bus.request(now, "data_wb")
         if self.uses_counter_cache:
-            self._counter_access(addr, now, write=True, data_ready=now)
+            self._counter_access(addr, now, True, now)
         if self._tree_covers_data:
-            self._tree_walk(addr, now, make_dirty=True)
+            self._tree_walk(addr, now, True)
         elif self._uses_data_macs:
-            self._data_mac_traffic(addr, now, write=True)
+            self._data_mac_traffic(addr, now, True)
 
     # -- the demand miss path --------------------------------------------------------------
 
@@ -365,7 +367,7 @@ class TimingSimulator:
         data_ready = start + self.mem_latency
         extra = 0.0
         if self.uses_counter_cache:
-            extra = self._counter_access(addr, now, write=False, data_ready=data_ready)
+            extra = self._counter_access(addr, now, False, data_ready)
             self.exposed_cycles += extra
         elif self._serial_decrypt:
             extra = self.aes_latency  # decryption serialized after the fetch
@@ -374,9 +376,9 @@ class TimingSimulator:
             self._hooks.emit("decrypt_exposed", ts=now, addr=addr, dur=extra)
         integrity_fetches = 0
         if self._tree_covers_data:
-            integrity_fetches = self._tree_walk(addr, now, make_dirty=False)
+            integrity_fetches = self._tree_walk(addr, now, False)
         elif self._uses_data_macs:
-            integrity_fetches = self._data_mac_traffic(addr, now, write=False)
+            integrity_fetches = self._data_mac_traffic(addr, now, False)
         if self._verify_on_path:
             # Precise verification: the load cannot retire until the MAC
             # chain checks out — the hash latency always shows, plus a
@@ -384,7 +386,7 @@ class TimingSimulator:
             extra += self.mac_latency
             if integrity_fetches:
                 extra += self.mem_latency
-        victim = self.l2.insert(addr, DATA, dirty=is_write)
+        victim = self.l2.insert(addr, DATA, is_write)
         if victim is not None and victim.dirty:
             self._writeback(victim, now)
         return (data_ready - now) + extra
@@ -524,6 +526,8 @@ class TimingSimulator:
         addresses = decoded.addresses
 
         l2 = self.l2
+        lookup = l2.lookup
+        miss = self._miss
         issue = self.issue_width
         hit_latency = self.l2_hit_latency
         overlap = self.overlap
@@ -545,18 +549,19 @@ class TimingSimulator:
                     hooks.begin(now)
             event_index += 1
             now += gap / issue
+            write = op == 1
             self.demand_accesses += 1
-            if l2.lookup(addr, write=op == 1):
+            if lookup(addr, write):
                 now += hit_latency
                 if hooks is not None:
                     hooks.account("l2_hit", hit_latency)
             else:
                 self.demand_misses += 1
-                raw = self._miss(addr, op == 1, now)
+                raw = miss(addr, write, now)
                 now += hit_latency + raw * overlap
                 if hooks is not None:
                     hooks.miss_latency.observe(raw)
-                    hooks.emit("l2_miss", ts=now, addr=addr, write=op == 1,
+                    hooks.emit("l2_miss", ts=now, addr=addr, write=write,
                                latency=raw)
                     hooks.account("l2_miss", hit_latency + raw * overlap)
             if event_index > warm_events:

@@ -1,6 +1,8 @@
 """Memory bus: serialization, queueing, and utilization accounting."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.mem.bus import MemoryBus
 
@@ -104,3 +106,25 @@ class TestCredit:
         start, _ = bus.request(5)
         assert start == 50
         assert bus.stats.transfers == 6  # three live + three credited
+
+
+class TestDurations:
+    """Duration quantization has one home: the bus's per-fraction memo."""
+
+    @given(cycles=st.integers(min_value=1, max_value=64),
+           fraction=st.sampled_from([1.0, 8 / 64, 16 / 64, 32 / 64]))
+    def test_memoized_duration_equals_the_formula(self, cycles, fraction):
+        bus = MemoryBus(cycles_per_block=cycles)
+        expected = max(1, round(cycles * fraction))
+        assert bus.duration(fraction) == expected
+        assert bus.duration(fraction) == expected  # the memoized answer
+        start, end = bus.request(0.0, "mac", fraction)
+        assert end - start == expected
+        assert bus.stats.busy_cycles == expected
+
+    def test_cycles_per_block_is_read_only(self):
+        bus = MemoryBus(cycles_per_block=16)
+        with pytest.raises(AttributeError):
+            bus.cycles_per_block = 8
+        assert bus.cycles_per_block == 16
+        assert bus.duration() == 16
