@@ -19,8 +19,9 @@ of both and the switches that select them:
   whose lowering of a ``Trace`` into typed arrays plus a recorded
   traffic program is memoized on the trace, reused by every run that
   shares its traffic-shaping geometry and replayed through a lean
-  arithmetic loop; and the simulator's instrumented reference loop,
-  which sends every miss through the simulator's own miss helpers.
+  arithmetic loop; and the simulator's instrumented reference loop.
+  Both run every miss through one per-miss walk
+  (:mod:`repro.fastpath.walk`), the only home of the traffic rules.
   Compiled replay runs unless a :mod:`repro.obs` session is active
   (live hooks need per-event callbacks), the gate is off, or the replay
   cannot model the run (an armed sanitizer, deferred tree updates, warm
@@ -58,8 +59,8 @@ ENGINES = (ENGINE_COMPILED, ENGINE_REFERENCE)
 FALLBACK_REASONS = (
     "obs_session",        # live hooks need per-event callbacks
     "fastpath_gate_off",  # REPRO_FASTPATH=0 / forced(False)
-    "sanitizer_armed",    # the reference helpers carry its checks
-    "deferred_updates",   # the reference helpers own the pending-walk queue
+    "sanitizer_armed",    # only the live walk carries its checks
+    "deferred_updates",   # only the live walk keeps the pending-walk queue
     "warm_caches",        # the lowering replays onto cold caches only
     "empty_trace",        # nothing to replay
 )

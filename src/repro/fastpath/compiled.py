@@ -35,11 +35,11 @@ counter cache over the stream the misses derive, and the artifact is
 assembled with array operations. Tree walks and cached data MACs put
 metadata in the L2, so misses in one set evict lines in others and the
 sets feed back into each other; those schemes take
-:func:`lower_sequential`, the pure-Python walk that stays the reference
-the staged route is tested against. The walk applies the reference
-helpers' state transitions to model caches without transliterating
-them line by line: it records one interned *key* per miss
-(its transfer kinds plus hit markers), and the staged route maps its
+:func:`lower_sequential`, which runs the per-miss walk
+(:mod:`repro.fastpath.walk`, the same walk the reference loop runs on
+the live caches) on model caches and stays the reference the staged
+route is tested against. It records one interned *key* per miss (its
+transfer kinds plus hit markers), and the staged route maps its
 outcome codes to the same keys, so one assembler (:func:`_assemble`)
 derives both routes' per-key tables with NumPy.
 
@@ -61,89 +61,18 @@ snapshot only if something touches them (see
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
 from ..core import sanitizer
 from ..mem.cache import CODE, COUNTER, DATA, DIRTY, LINE, MAC, MERKLE
 from ..mem.layout import BLOCK_SIZE
-
-# Transfer-kind codes. Each miss's bus traffic is recorded as a tuple of
-# these (the *pattern*, excluding the leading demand fetch, which every
-# miss issues first). Codes map to (reported kind, duration class):
-# everything moves a full block except the uncached-MAC transfers.
-K_DATA = 0
-K_COUNTER = 1
-K_MERKLE = 2
-K_MAC = 3        # cached data MAC: full block
-K_MAC_FRAC = 4   # uncached data MAC read: mac_bytes only
-K_DATA_WB = 5
-K_COUNTER_WB = 6
-K_MERKLE_WB = 7
-K_MAC_WB = 8     # uncached data MAC read-modify-write: mac_bytes only
-
-_N_KINDS = 9
-# Reported kinds settle in one fixed order: fetches, then writebacks.
-_KIND_SETTLEMENT = (
-    ("data", (K_DATA,)),
-    ("counter", (K_COUNTER,)),
-    ("merkle", (K_MERKLE,)),
-    ("mac", (K_MAC, K_MAC_FRAC)),
-    ("data_wb", (K_DATA_WB,)),
-    ("counter_wb", (K_COUNTER_WB,)),
-    ("merkle_wb", (K_MERKLE_WB,)),
-    ("mac_wb", (K_MAC_WB,)),
+from .walk import (
+    _N_KINDS, _T_CC_HIT, _T_IFETCH, _TOKEN_KCOUNTS, _TOKEN_KIND, _TOKEN_METAS,
+    K_COUNTER, K_COUNTER_WB, K_DATA, K_DATA_WB, K_MAC_FRAC, K_MAC_WB,
+    KIND_NAMES, counter_block_of, credit, miss_walk, token_counts,
 )
-
-# Columns of the per-key statistics-delta matrix (metadata traffic
-# only; the demand hit/miss itself is derived from the miss flags).
-_L2H, _L2M, _L2WB = 0, 1, 2
-_CCH, _CCM, _CCWB = 3, 4, 5
-_TH, _TM, _TWB = 6, 7, 8
-_CA, _CM = 9, 10
-_N_META = 11
-
-# A miss's *key* is the tuple of tokens its traffic produced, in bus
-# order: the transfer kinds above (the leading demand fetch left out)
-# plus markers that move no data but count in the statistics. A dirty
-# victim of a dedicated node cache gets its own token, so its writeback
-# (a K_MERKLE_WB transfer) counts toward the node cache, not the L2.
-_T_NODE_HIT = 9    # a tree walk stopped at a cached node
-_T_MAC_HIT = 10    # a cached data MAC hit in the L2
-_T_CC_HIT = 11     # a counter-cache hit
-_T_NODE_WB = 12    # a dirty node-cache victim written back
-_T_IFETCH = 13     # the demand miss fetched integrity metadata
-_N_TOKENS = 14
-
-# The transfer kind of each token (None for markers).
-_TOKEN_KIND = tuple(range(_N_KINDS)) + (None, None, None, K_MERKLE_WB, None)
-
-
-def _token_matrices():
-    """Token -> per-kind transfer counts, and token -> statistics deltas
-    for a tree kept in the L2 or in a dedicated node cache."""
-    kinds = np.zeros((_N_TOKENS, _N_KINDS), dtype=np.int64)
-    for token, kind in enumerate(_TOKEN_KIND):
-        if kind is not None:
-            kinds[token, kind] = 1
-    metas = {}
-    for tree_is_l2 in (True, False):
-        meta = np.zeros((_N_TOKENS, _N_META), dtype=np.int64)
-        meta[K_COUNTER, [_CCM, _CM, _CA]] = 1
-        meta[_T_CC_HIT, [_CCH, _CA]] = 1
-        meta[K_COUNTER_WB, _CCWB] = 1
-        meta[K_MERKLE, _L2M if tree_is_l2 else _TM] = 1
-        meta[_T_NODE_HIT, _L2H if tree_is_l2 else _TH] = 1
-        meta[K_MAC, _L2M] = 1
-        meta[_T_MAC_HIT, _L2H] = 1
-        meta[[K_DATA_WB, K_MERKLE_WB], _L2WB] = 1
-        meta[_T_NODE_WB, _TWB] = 1
-        metas[tree_is_l2] = meta
-    return kinds, metas
-
-
-_TOKEN_KCOUNTS, _TOKEN_METAS = _token_matrices()
 
 _MEMO_CAPACITY = 2  # lowerings kept per Trace (sweeps replay one)
 
@@ -320,182 +249,28 @@ def lower(sim, trace, sample_period: int) -> CompiledTrace:
 def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
     """The general lowering: one pure-Python walk over the events.
 
-    The walk evolves a model of the L2, counter and node caches with the
-    state transitions of ``TimingSimulator._miss`` and its helpers, off
-    the clock, on block numbers precomputed with NumPy. Per miss it
-    records one interned *key* (see ``_TOKEN_KIND``): the transfer kinds
-    in bus order plus markers for node, MAC and counter-cache hits.
-    :func:`_assemble` then derives the per-key tables from the distinct
-    keys. The final contents stay in the walk's own sets, which
-    ``restore_state`` copies only if a later run touches the cache.
+    The L2 demand probe is inlined; each miss runs the per-miss walk
+    off the clock on model caches, and its tokens are interned as its
+    *key*, from which :func:`_assemble` derives the per-key tables. The
+    final contents stay in the walk's own sets, which ``restore_state``
+    copies only if a later run touches the cache.
     """
-    l2 = sim.l2
-    counter_cache = sim.counter_cache
-    node_cache = sim.node_cache
-
-    # Every address below enters as a block number; the offsets are
-    # exact because ``(base + k * bs) // bs == base // bs + k``.
-    # MachineConfig pins the L2 line to BLOCK_SIZE, so one block number
-    # serves the demand lookup and the fill.
-    bs = BLOCK_SIZE
-    uses_cc = sim.uses_counter_cache
-    walks_tree = sim._walks_tree
-    tree_covers_data = sim._tree_covers_data
-    uses_data_macs = sim._uses_data_macs
-    cache_data_macs = sim._cache_data_macs
-    level_blocks = tuple(base // bs for base in sim._walk_bases)
-    arity = sim._arity
-    covered_start = sim._covered_start
-    leaf_of_block = (-covered_start) // bs  # data block -> tree leaf index
-    mac_block0 = sim._mac_base // bs
-    mac_bytes = sim._mac_bytes
-    ctr_base = sim._ctr_base if uses_cc else 0
-    cb_span = sim._cb_span if uses_cc else 1
-    ctr_block0 = ctr_base // bs
-    ctr_leaf0 = (ctr_base - covered_start) // bs
-
-    # Model cache state (cold: execute_compiled only replays onto cold
-    # caches). Lines are the interned (dirty, class) tuples of LINE.
-    l2_nsets = l2.num_sets
-    l2_assoc = l2.assoc
-    l2_num_lines = l2.num_lines
-    l2_sets = [OrderedDict() for _ in range(l2_nsets)]
-    l2_classes: dict = {}
-    cc_nsets = counter_cache.num_sets
-    cc_assoc = counter_cache.assoc
-    cc_sets = [OrderedDict() for _ in range(cc_nsets)]
-    cc_classes: dict = {}
-    if node_cache is not None:
-        t_nsets = node_cache.num_sets
-        t_assoc = node_cache.assoc
-        t_sets = [OrderedDict() for _ in range(t_nsets)]
-        t_classes: dict = {}
-        tree_is_l2 = False
-    else:
-        t_nsets, t_assoc = l2_nsets, l2_assoc
-        t_sets, t_classes = l2_sets, l2_classes
-        tree_is_l2 = True
-
     ev: list = []  # the current miss's key, as it is built
-    push = ev.append
-    data_lines = LINE[DATA]
-    counter_lines = LINE[COUNTER]
-    merkle_lines = LINE[MERKLE]
-    mac_lines = LINE[MAC]
-
-    def tree_walk(index, make_dirty):
-        # ``index`` is the covered block's leaf index.
-        fetched = 0
-        line = merkle_lines[make_dirty]
-        for level_block in level_blocks:
-            index //= arity
-            block = level_block + index
-            cache_set = t_sets[block % t_nsets]
-            entry = cache_set.get(block)
-            if entry is not None:
-                cache_set.move_to_end(block)
-                if make_dirty and not entry[0]:
-                    cache_set[block] = DIRTY[entry[1]]
-                push(_T_NODE_HIT)
-                return fetched
-            push(K_MERKLE)
-            fetched += 1
-            if len(cache_set) >= t_assoc:
-                vblock, (vdirty, vclass) = cache_set.popitem(last=False)
-                cache_set[block] = line
-                if vclass != MERKLE:
-                    t_classes[vclass] -= 1
-                    t_classes[MERKLE] = t_classes.get(MERKLE, 0) + 1
-                if vdirty:
-                    if tree_is_l2:
-                        writeback(vblock, vclass)
-                    else:
-                        push(_T_NODE_WB)
-                continue
-            cache_set[block] = line
-            t_classes[MERKLE] = t_classes.get(MERKLE, 0) + 1
-        return fetched
-
-    def counter_access(span, write):
-        # ``span`` is the counter block's index, ``addr // cb_span``.
-        block = ctr_block0 + span
-        cache_set = cc_sets[block % cc_nsets]
-        entry = cache_set.get(block)
-        if entry is not None:
-            cache_set.move_to_end(block)
-            if write and not entry[0]:
-                cache_set[block] = DIRTY[entry[1]]
-            push(_T_CC_HIT)
-            return
-        push(K_COUNTER)
-        if len(cache_set) >= cc_assoc:
-            vblock, (vdirty, vclass) = cache_set.popitem(last=False)
-            cache_set[block] = counter_lines[write]
-            if vclass != COUNTER:
-                cc_classes[vclass] -= 1
-                cc_classes[COUNTER] = cc_classes.get(COUNTER, 0) + 1
-            if vdirty:
-                push(K_COUNTER_WB)
-                if walks_tree:
-                    tree_walk(vblock + leaf_of_block, True)
-        else:
-            cache_set[block] = counter_lines[write]
-            cc_classes[COUNTER] = cc_classes.get(COUNTER, 0) + 1
-        if walks_tree:
-            tree_walk(ctr_leaf0 + span, False)
-
-    def mac_traffic(data_block, write):
-        if not cache_data_macs:
-            # Uncached MACs: only the MAC itself crosses the bus.
-            if write:
-                push(K_MAC_WB)
-                return 0
-            push(K_MAC_FRAC)
-            return 1
-        block = mac_block0 + data_block * mac_bytes // bs
-        cache_set = l2_sets[block % l2_nsets]
-        entry = cache_set.get(block)
-        if entry is not None:
-            cache_set.move_to_end(block)
-            if write and not entry[0]:
-                cache_set[block] = DIRTY[entry[1]]
-            push(_T_MAC_HIT)
-            return 0
-        push(K_MAC)
-        if len(cache_set) >= l2_assoc:
-            vblock, (vdirty, vclass) = cache_set.popitem(last=False)
-            cache_set[block] = mac_lines[write]
-            if vclass != MAC:
-                l2_classes[vclass] -= 1
-                l2_classes[MAC] = l2_classes.get(MAC, 0) + 1
-            if vdirty:
-                writeback(vblock, vclass)
-        else:
-            cache_set[block] = mac_lines[write]
-            l2_classes[MAC] = l2_classes.get(MAC, 0) + 1
-        return 1
-
-    def writeback(vblock, vclass):
-        # A dirty L2 victim.
-        if vclass == MERKLE or vclass == MAC:
-            push(K_MERKLE_WB)
-            return
-        push(K_DATA_WB)
-        if uses_cc:
-            counter_access(vblock * bs // cb_span, True)
-        if tree_covers_data:
-            tree_walk(vblock + leaf_of_block, True)
-        elif uses_data_macs:
-            mac_traffic(vblock, True)
+    walk = miss_walk(sim, ev.append)
+    l2_sets = walk.l2_sets
+    l2_classes = walk.l2_classes
+    l2_num_lines = sim.l2.num_lines
+    counter_access = walk.counter_access if sim.uses_counter_cache else None
+    fill = walk.fill
 
     n = len(trace)
     addresses = trace.addresses.astype(np.int64)
-    blocks_np = addresses // bs
+    blocks_np = addresses // BLOCK_SIZE
     blocks = blocks_np.tolist()
-    set_index = (blocks_np % l2_nsets).tolist()
+    set_index = (blocks_np % sim.l2.num_sets).tolist()
     writes = (np.asarray(trace.ops) == 1).tolist()
-    spans = (addresses // cb_span).tolist() if uses_cc else None
-    leaves = ((addresses - covered_start) // bs).tolist() if tree_covers_data else None
+    cblocks = (walk.counter_block(addresses).tolist()
+               if counter_access is not None else None)
 
     miss_events: list = []
     key_idx: list = []
@@ -514,35 +289,9 @@ def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
                 continue
             miss_events.append(i)
             ev.clear()
-            write = writes[i]
-            if uses_cc:
-                counter_access(spans[i], False)
-            if tree_covers_data:
-                if tree_walk(leaves[i], False):
-                    push(_T_IFETCH)
-            elif uses_data_macs:
-                if mac_traffic(block, False):
-                    push(_T_IFETCH)
-            # insert(addr, DATA, dirty=write) into the L2
-            entry = cache_set.get(block)
-            if entry is not None:
-                # Refill of a present line (a metadata insert raced the fill).
-                cache_set[block] = data_lines[entry[0] or write]
-                cache_set.move_to_end(block)
-                if entry[1] != DATA:
-                    l2_classes[entry[1]] -= 1
-                    l2_classes[DATA] = l2_classes.get(DATA, 0) + 1
-            elif len(cache_set) >= l2_assoc:
-                vblock, (vdirty, vclass) = cache_set.popitem(last=False)
-                cache_set[block] = data_lines[write]
-                if vclass != DATA:
-                    l2_classes[vclass] -= 1
-                    l2_classes[DATA] = l2_classes.get(DATA, 0) + 1
-                if vdirty:
-                    writeback(vblock, vclass)
-            else:
-                cache_set[block] = data_lines[write]
-                l2_classes[DATA] = l2_classes.get(DATA, 0) + 1
+            if counter_access is not None:
+                counter_access(cblocks[i], False)
+            fill(block, writes[i])
             key = tuple(ev)
             idx = key_ids.get(key)
             if idx is None:
@@ -558,17 +307,20 @@ def lower_sequential(sim, trace, sample_period: int) -> CompiledTrace:
                 l2_classes.get(MAC, 0),
             ))
 
+    walk.close()
     flags = np.zeros(n, dtype=np.int64)
     flags[miss_events] = 1
+    node_cache = sim.node_cache
     return CompiledTrace(
         n=n,
         miss_flags=flags.tolist(),
         miss_cum=np.cumsum(flags),
-        **_assemble(list(key_ids), key_idx, tree_is_l2),
+        **_assemble(list(key_ids), key_idx, walk.tree_is_l2),
         ticks=np.asarray(ticks, dtype=np.int64).reshape(len(ticks), 5),
         final_l2=(l2_sets, l2_classes),
-        final_cc=(cc_sets, cc_classes),
-        final_node=None if node_cache is None else (t_sets, t_classes),
+        final_cc=(walk.cc_sets, walk.cc_classes),
+        final_node=(None if node_cache is None
+                    else (walk.tree_sets, walk.tree_classes)),
     )
 
 
@@ -582,13 +334,7 @@ def _assemble(keys: list, key_idx, tree_is_l2: bool) -> dict:
     Patterns are interned in first-seen order too: keys that differ only
     in markers share one.
     """
-    lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
-    tokens = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
-                         count=int(lengths.sum()))
-    owner = np.repeat(np.arange(len(keys)), lengths)
-    counts = np.bincount(owner * _N_TOKENS + tokens,
-                         minlength=len(keys) * _N_TOKENS
-                         ).reshape(len(keys), _N_TOKENS)
+    counts = token_counts(keys)
     key_kcounts = counts @ _TOKEN_KCOUNTS
     key_kcounts[:, K_DATA] += 1  # the demand fetch
 
@@ -823,17 +569,15 @@ def lower_staged(sim, trace, sample_period: int) -> CompiledTrace:
     wb_cc_wb = np.zeros(m, dtype=bool)
     final_cc = (((),) * cc_nsets, {})
     if uses_cc:
-        ctr_base = sim._ctr_base
-        cb_span = sim._cb_span
+        counter_block = counter_block_of(sim)
         miss_addrs = (trace.addresses[miss_events] // bs).astype(np.int64) * bs
-        victim_addrs = stage.dirty_victims * bs
         # The derived stream: each miss's read, then its dirty victim's write.
         per_miss = 1 + l2_wb.astype(np.int64)
         read_at = np.cumsum(per_miss) - per_miss
         write_at = read_at[l2_wb] + 1
         stream = np.empty(m + len(write_at), dtype=np.int64)
-        stream[read_at] = (ctr_base + (miss_addrs // cb_span) * bs) // bs
-        stream[write_at] = (ctr_base + (victim_addrs // cb_span) * bs) // bs
+        stream[read_at] = counter_block(miss_addrs)
+        stream[write_at] = counter_block(stage.dirty_victims * bs)
         is_write = np.zeros(len(stream), dtype=bool)
         is_write[write_at] = True
         hit, _, victim_dirty, state = _lru_lockstep(
@@ -904,7 +648,8 @@ def ineligibility(sim, trace) -> str | None:
         return "sanitizer_armed"
     if sim._deferred_updates:
         # The lowering records synchronous tree-walk traffic; a deferred
-        # scheme's pending-walk queue lives in the reference helpers.
+        # scheme's pending-walk queue is simulator state that outlives a
+        # run, which only the live walk keeps.
         return "deferred_updates"
     node_cache = sim.node_cache
     if (sim.l2.occupied_lines or sim.counter_cache.occupied_lines
@@ -963,20 +708,16 @@ def _run_segment(events, prog, mp, now, bf, queue, exposed,
 
 
 def execute_compiled(sim, trace, warmup: float, sample_period: int):
-    """Replay ``trace``'s lowering through ``sim``; None when ineligible.
+    """Replay ``trace``'s lowering through ``sim``.
 
     :func:`repro.fastpath.execute` calls it only for runs
-    :func:`ineligibility` accepts; the check here guards direct callers.
+    :func:`ineligibility` accepts (cold caches, among others).
     The lowering starts from empty caches, and the recorded final state
     is installed on the real caches afterwards (deferred, built on first
     touch) so warm reuse and the live line-count gauges behave exactly
     as if the reference loop had run.
     """
-    if ineligibility(sim, trace) is not None:
-        return None
     l2 = sim.l2
-    counter_cache = sim.counter_cache
-    node_cache = sim.node_cache
     n = len(trace)
 
     artifact = compiled_for(sim, trace, sample_period)
@@ -1029,23 +770,12 @@ def execute_compiled(sim, trace, warmup: float, sample_period: int):
     measured_misses = m - warm_misses
     meta, kind_totals, busy = artifact.settle(warm_misses, full_dur,
                                               mac_frac_dur)
-    demand_hits = measured_events - measured_misses
-    l2.credit_demand(
-        demand_hits + int(meta[_L2H]),
-        measured_misses + int(meta[_L2M]),
-        int(meta[_L2WB]),
-    )
-    counter_cache.credit_demand(int(meta[_CCH]), int(meta[_CCM]),
-                                int(meta[_CCWB]))
-    if node_cache is not None:
-        node_cache.credit_demand(int(meta[_TH]), int(meta[_TM]),
-                                 int(meta[_TWB]))
+    credit(sim, meta, measured_events - measured_misses, measured_misses)
 
-    by_kind = {}
-    for name, codes in _KIND_SETTLEMENT:
-        count = int(sum(kind_totals[code] for code in codes))
+    by_kind = {}  # reported kinds in code order: fetches, then writebacks
+    for name, count in zip(KIND_NAMES, kind_totals.tolist()):
         if count:
-            by_kind[name] = count
+            by_kind[name] = by_kind.get(name, 0) + count
     bus.credit(int(kind_totals.sum()), float(busy), queue, by_kind, bf)
 
     tick0 = warm_events // sample_period
@@ -1064,16 +794,14 @@ def execute_compiled(sim, trace, warmup: float, sample_period: int):
         )
 
     sim.exposed_cycles += exposed
-    sim.counter_accesses += int(meta[_CA])
-    sim.counter_misses += int(meta[_CM])
     sim.demand_accesses = measured_events
     sim.demand_misses = measured_misses
 
     # Install the recorded end-of-run cache contents: warm reuse and the
     # live occupancy gauges see exactly what the reference loop leaves.
     l2.restore_state(*artifact.final_l2)
-    counter_cache.restore_state(*artifact.final_cc)
-    if node_cache is not None:
-        node_cache.restore_state(*artifact.final_node)
+    sim.counter_cache.restore_state(*artifact.final_cc)
+    if sim.node_cache is not None:
+        sim.node_cache.restore_state(*artifact.final_node)
 
     return now, measured_from, measured_instructions

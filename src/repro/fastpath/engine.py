@@ -4,8 +4,8 @@
 :meth:`repro.sim.TimingSimulator.run`: the compiled replay
 (:func:`repro.fastpath.compiled.execute_compiled`, which replays the
 trace's memoized lowering) or the simulator's instrumented reference
-loop (:meth:`~repro.sim.TimingSimulator._run_reference`, whose misses go
-through the simulator's own miss helpers). Both compute bit-identical
+loop (:meth:`~repro.sim.TimingSimulator._run_reference`). Both run the
+one per-miss walk of :mod:`repro.fastpath.walk` and compute bit-identical
 arithmetic, so results — including the committed figure-6 golden sweep
 — do not depend on the choice.
 """

@@ -1,0 +1,356 @@
+"""The per-miss walk: the one home of the section-6 traffic rules.
+
+The counter-cache access that hides or exposes AES latency, the Merkle
+walk that stops at the first cached node, the data MACs, the
+dirty-victim writeback chains and a deferred-update scheme's queue of
+pending walks are written here once. The lowering
+(:func:`repro.fastpath.compiled.lower_sequential`) and the reference
+loop (:meth:`repro.sim.TimingSimulator._run_reference`) both run
+:func:`miss_walk`; neither counts cache statistics per access, since a
+miss key's deltas follow from its tokens (both settle via :func:`credit`).
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from itertools import chain
+from types import SimpleNamespace
+
+import numpy as np
+
+from ..core import sanitizer
+from ..mem.cache import COUNTER, DATA, DIRTY, LINE, MAC, MERKLE
+from ..mem.layout import BLOCK_SIZE
+
+# Transfer-kind codes. Each miss's bus traffic is recorded as a tuple of
+# these (the *pattern*, excluding the leading demand fetch, which every
+# miss issues first). Codes map to (reported kind, duration class):
+# everything moves a full block except the uncached-MAC transfers.
+K_DATA = 0
+K_COUNTER = 1
+K_MERKLE = 2
+K_MAC = 3        # cached data MAC: full block
+K_MAC_FRAC = 4   # uncached data MAC read: mac_bytes only
+K_DATA_WB = 5
+K_COUNTER_WB = 6
+K_MERKLE_WB = 7
+K_MAC_WB = 8     # uncached data MAC read-modify-write: mac_bytes only
+
+_N_KINDS = 9
+# The bus's name for each kind's transfers.
+KIND_NAMES = ("data", "counter", "merkle", "mac", "mac", "data_wb",
+              "counter_wb", "merkle_wb", "mac_wb")
+
+# Columns of the per-key statistics-delta matrix (metadata traffic
+# only; the demand hit/miss itself is counted by the engines).
+_L2H, _L2M, _L2WB = 0, 1, 2
+_CCH, _CCM, _CCWB = 3, 4, 5
+_TH, _TM, _TWB = 6, 7, 8
+_CA, _CM = 9, 10
+_N_META = 11
+
+# A miss's *key* is the tuple of tokens its traffic produced, in bus
+# order: the transfer kinds above (the leading demand fetch left out)
+# plus markers that move no data but count in the statistics. A dirty
+# victim of a dedicated node cache gets its own token, so its writeback
+# (a K_MERKLE_WB transfer) counts toward the node cache, not the L2.
+_T_NODE_HIT = 9    # a tree walk stopped at a cached node
+_T_MAC_HIT = 10    # a cached data MAC hit in the L2
+_T_CC_HIT = 11     # a counter-cache hit
+_T_NODE_WB = 12    # a dirty node-cache victim written back
+_T_IFETCH = 13     # the demand miss fetched integrity metadata
+_N_TOKENS = 14
+
+# The transfer kind of each token (None for markers).
+_TOKEN_KIND = tuple(range(_N_KINDS)) + (None, None, None, K_MERKLE_WB, None)
+
+
+def _token_matrices():
+    """Token -> per-kind transfer counts, and token -> statistics deltas
+    for a tree kept in the L2 or in a dedicated node cache."""
+    kinds = np.zeros((_N_TOKENS, _N_KINDS), dtype=np.int64)
+    for token, kind in enumerate(_TOKEN_KIND):
+        if kind is not None:
+            kinds[token, kind] = 1
+    metas = {}
+    for tree_is_l2 in (True, False):
+        meta = np.zeros((_N_TOKENS, _N_META), dtype=np.int64)
+        meta[K_COUNTER, [_CCM, _CM, _CA]] = 1
+        meta[_T_CC_HIT, [_CCH, _CA]] = 1
+        meta[K_COUNTER_WB, _CCWB] = 1
+        meta[K_MERKLE, _L2M if tree_is_l2 else _TM] = 1
+        meta[_T_NODE_HIT, _L2H if tree_is_l2 else _TH] = 1
+        meta[K_MAC, _L2M] = 1
+        meta[_T_MAC_HIT, _L2H] = 1
+        meta[[K_DATA_WB, K_MERKLE_WB], _L2WB] = 1
+        meta[_T_NODE_WB, _TWB] = 1
+        metas[tree_is_l2] = meta
+    return kinds, metas
+
+
+_TOKEN_KCOUNTS, _TOKEN_METAS = _token_matrices()
+
+
+def token_counts(keys: list) -> np.ndarray:
+    """How often each token occurs in each key: ``(len(keys), _N_TOKENS)``."""
+    lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+    tokens = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
+                         count=int(lengths.sum()))
+    owner = np.repeat(np.arange(len(keys)), lengths)
+    return np.bincount(owner * _N_TOKENS + tokens,
+                       minlength=len(keys) * _N_TOKENS
+                       ).reshape(len(keys), _N_TOKENS)
+
+
+def credit(sim, meta, demand_hits: int = 0, demand_misses: int = 0) -> None:
+    """Credit a statistics-delta row (plus L2 demand tallies) to ``sim``'s
+    caches, through their batch-credit API, and counter tallies."""
+    sim.l2.credit_demand(demand_hits + int(meta[_L2H]),
+                         demand_misses + int(meta[_L2M]), int(meta[_L2WB]))
+    sim.counter_cache.credit_demand(int(meta[_CCH]), int(meta[_CCM]),
+                                    int(meta[_CCWB]))
+    if sim.node_cache is not None:
+        sim.node_cache.credit_demand(int(meta[_TH]), int(meta[_TM]),
+                                     int(meta[_TWB]))
+    sim.counter_accesses += int(meta[_CA])
+    sim.counter_misses += int(meta[_CM])
+
+
+def counter_block_of(sim):
+    """``sim``'s counter-block function: a byte address (an int, or an
+    int64 array) -> the number of the counter block covering it."""
+    ctr_block0 = sim._ctr_base // BLOCK_SIZE
+    cb_span = sim._cb_span
+    return lambda addr: ctr_block0 + addr // cb_span
+
+
+def miss_walk(sim, push, mark=None, live: bool = False,
+              emit=None) -> SimpleNamespace:
+    """The per-miss walk for ``sim``'s traffic geometry, pushing tokens.
+
+    Returns ``counter_access(block, write)`` (a miss's demand counter
+    read, or a dirty victim's counter bump), ``fill(block, write)`` (the
+    rest of a miss: integrity traffic, the L2 fill, its victim's
+    writeback), ``drain()``, ``close()``, the address functions
+    it uses (``counter_block(addr)``, on ints or arrays, and
+    ``mac_block(block)``), and the sets and tallies it runs on. ``live``
+    runs it on ``sim``'s caches (reading ``_sets`` builds a pending
+    install) with the deferred queue on ``sim._pending_walks`` and,
+    armed, the sanitizer's per-fill checks; otherwise it runs on fresh
+    sets and walks the tree at once. Markers, which move no data, go to
+    ``mark`` when it is given. ``emit(event, **fields)`` receives
+    ``counter_miss`` before its fetch's token and ``merkle_fetch`` after.
+    """
+    mark = push if mark is None else mark
+    l2 = sim.l2
+    counter_cache = sim.counter_cache
+    node_cache = sim.node_cache
+
+    # Block numbers throughout: ``(base + k * bs) // bs == base // bs + k``,
+    # and MachineConfig pins every cache line to BLOCK_SIZE.
+    bs = BLOCK_SIZE
+    uses_cc = sim.uses_counter_cache
+    walks_tree = sim._walks_tree
+    tree_covers_data = sim._tree_covers_data
+    uses_data_macs = sim._uses_data_macs
+    cache_data_macs = sim._cache_data_macs
+    level_blocks = tuple(base // bs for base in sim._walk_bases)
+    arity = sim._arity
+    leaf_of_block = (-sim._covered_start) // bs  # block -> tree leaf index
+    mac_block0 = sim._mac_base // bs
+    mac_bytes = sim._mac_bytes
+    counter_block = counter_block_of(sim) if uses_cc else None
+    deferred = live and sim._deferred_updates
+    batch = sim._update_batch
+    coalesce = sim._update_coalesce
+    sanitize = live and sanitizer._active is not None
+
+    def mac_block(data_block):
+        return mac_block0 + data_block * mac_bytes // bs
+
+    def state(cache):
+        if live:
+            return cache._sets, cache._class_lines
+        return [OrderedDict() for _ in range(cache.num_sets)], {}
+
+    tree_cache = node_cache if node_cache is not None else l2
+    l2_sets, l2_classes = state(l2)
+    cc_sets, cc_classes = state(counter_cache)
+    t_sets, t_classes = (state(node_cache) if node_cache is not None
+                         else (l2_sets, l2_classes))
+    tree_is_l2 = node_cache is None
+    l2_nsets, l2_assoc = l2.num_sets, l2.assoc
+    cc_nsets, cc_assoc = counter_cache.num_sets, counter_cache.assoc
+    t_nsets, t_assoc = tree_cache.num_sets, tree_cache.assoc
+    data_lines = LINE[DATA]
+    counter_lines = LINE[COUNTER]
+    merkle_lines = LINE[MERKLE]
+    mac_lines = LINE[MAC]
+
+    def install(cache, cache_set, assoc, classes, block, line):
+        # Fill ``block`` (absent) with ``line``, evicting the LRU line of
+        # a full set; returns a dirty victim's (block, class), else None.
+        victim = None
+        if len(cache_set) >= assoc:
+            vblock, (vdirty, vclass) = cache_set.popitem(last=False)
+            classes[vclass] -= 1
+            if vdirty:
+                victim = vblock, vclass
+        cache_set[block] = line
+        classes[line[1]] = classes.get(line[1], 0) + 1
+        if sanitize:
+            cache._sanitize_insert(cache_set)
+        return victim
+
+    def tree_walk(index, make_dirty):
+        # ``index`` is the covered block's leaf index; returns the number
+        # of nodes fetched before the first cached one (or the root).
+        fetched = 0
+        line = merkle_lines[make_dirty]
+        for level_block in level_blocks:
+            index //= arity
+            block = level_block + index
+            cache_set = t_sets[block % t_nsets]
+            entry = cache_set.get(block)
+            if entry is not None:
+                cache_set.move_to_end(block)
+                if make_dirty and not entry[0]:
+                    cache_set[block] = DIRTY[entry[1]]
+                mark(_T_NODE_HIT)
+                return fetched
+            push(K_MERKLE)
+            if emit is not None:
+                emit("merkle_fetch", level=fetched, addr=block * bs,
+                     dirty=make_dirty)
+            fetched += 1
+            victim = install(tree_cache, cache_set, t_assoc, t_classes,
+                             block, line)
+            if victim is not None:
+                if tree_is_l2:
+                    writeback(*victim)
+                else:
+                    push(_T_NODE_WB)
+        # Fell off the top: the root register verifies/absorbs the update.
+        return fetched
+
+    def counter_access(block, write):
+        # A counter-cache hit lets pad generation overlap the data fetch;
+        # a miss fetches the counter block (and, under a tree scheme,
+        # verifies it) first.
+        cache_set = cc_sets[block % cc_nsets]
+        entry = cache_set.get(block)
+        if entry is not None:
+            cache_set.move_to_end(block)
+            if write and not entry[0]:
+                cache_set[block] = DIRTY[entry[1]]
+            mark(_T_CC_HIT)
+            return
+        if emit is not None:
+            emit("counter_miss", addr=block * bs, write=write)
+        push(K_COUNTER)
+        victim = install(counter_cache, cache_set, cc_assoc, cc_classes,
+                         block, counter_lines[write])
+        if victim is not None:
+            push(K_COUNTER_WB)
+            if deferred:
+                defer(victim[0])
+            elif walks_tree:
+                tree_walk(victim[0] + leaf_of_block, True)
+        if walks_tree:
+            tree_walk(block + leaf_of_block, False)
+
+    def mac_traffic(data_block, write):
+        # Per-block MAC fetch/update; returns the number of fetches.
+        if not cache_data_macs:
+            # Uncached MACs: every miss fetches, every writeback read-
+            # modify-writes, and only the MAC itself crosses the bus.
+            push(K_MAC_WB if write else K_MAC_FRAC)
+            return 0 if write else 1
+        block = mac_block(data_block)
+        cache_set = l2_sets[block % l2_nsets]
+        entry = cache_set.get(block)
+        if entry is not None:
+            cache_set.move_to_end(block)
+            if write and not entry[0]:
+                cache_set[block] = DIRTY[entry[1]]
+            mark(_T_MAC_HIT)
+            return 0
+        push(K_MAC)
+        victim = install(l2, cache_set, l2_assoc, l2_classes, block,
+                         mac_lines[write])
+        if victim is not None:
+            writeback(*victim)
+        return 1
+
+    def writeback(vblock, vclass):
+        # A dirty L2 victim. Data leaving the chip is encrypted (its
+        # counter bumps) and re-MACed.
+        if vclass == MERKLE or vclass == MAC:
+            push(K_MERKLE_WB)
+            return
+        push(K_DATA_WB)
+        if uses_cc:
+            counter_access(counter_block(vblock * bs), True)
+        if tree_covers_data:
+            tree_walk(vblock + leaf_of_block, True)
+        elif uses_data_macs:
+            mac_traffic(vblock, True)
+
+    def fill(block, write):
+        # The demand miss after its counter read: integrity traffic, then
+        # the L2 fill.
+        if tree_covers_data:
+            if tree_walk(block + leaf_of_block, False):
+                mark(_T_IFETCH)
+        elif uses_data_macs:
+            if mac_traffic(block, False):
+                mark(_T_IFETCH)
+        cache_set = l2_sets[block % l2_nsets]
+        entry = cache_set.get(block)
+        if entry is not None:
+            # Refill of a present line (a metadata insert raced the fill).
+            cache_set[block] = data_lines[entry[0] or write]
+            cache_set.move_to_end(block)
+            l2_classes[entry[1]] -= 1
+            l2_classes[DATA] = l2_classes.get(DATA, 0) + 1
+            return
+        victim = install(l2, cache_set, l2_assoc, l2_classes, block,
+                         data_lines[write])
+        if victim is not None:
+            writeback(*victim)
+
+    def defer(block):
+        # Queue a dirty counter block's walk instead of performing it.
+        sim._pending_walks.append(block)
+        sim.tree_deferred += 1
+        if len(sim._pending_walks) >= batch:
+            drain()
+
+    def drain():
+        # Off the critical path: costs bandwidth and cache churn, never
+        # stall. Coalescing merges queued walks to one counter block.
+        pending = sim._pending_walks
+        if not pending:
+            return
+        sim._pending_walks = []
+        sim.tree_drains += 1
+        seen = set()
+        for block in pending:
+            if coalesce and block in seen:
+                sim.tree_coalesced += 1
+                continue
+            seen.add(block)
+            tree_walk(block + leaf_of_block, True)
+
+    def close():
+        # Every cycle among these closures runs through ``writeback``:
+        # unbound, a finished walk is freed without the cycle collector.
+        nonlocal writeback
+        writeback = None
+
+    return SimpleNamespace(
+        counter_access=counter_access, fill=fill, drain=drain, close=close,
+        counter_block=counter_block, mac_block=mac_block,
+        l2_sets=l2_sets, l2_classes=l2_classes, cc_sets=cc_sets,
+        cc_classes=cc_classes, tree_sets=t_sets, tree_classes=t_classes,
+        tree_is_l2=tree_is_l2)

@@ -17,6 +17,8 @@ disagree.
 
 from __future__ import annotations
 
+import weakref
+
 from ..mem.cache import CODE, COUNTER, DATA, MAC, MERKLE
 
 # Fixed bucket edges (cycles) for the demand-miss latency histogram:
@@ -56,8 +58,12 @@ def register_simulator(registry, sim):
 
     Gauges close over the *owning objects* (cache, bus, simulator), not
     their stats instances — ``reset_stats`` swaps the stats objects out
-    and the bindings must follow.
+    and the bindings must follow. The simulator owns its registry, so
+    its gauges see it through a weak proxy: strong closures would make
+    simulator and registry a reference cycle, which only the cyclic
+    collector frees, with every cache set hanging off it.
     """
+    sim = weakref.proxy(sim)
     scope = registry.scoped("sim")
     scope.bind("demand_accesses", lambda: sim.demand_accesses)
     scope.bind("demand_misses", lambda: sim.demand_misses)
@@ -90,8 +96,9 @@ def register_engine_telemetry(registry, sim, prefix: str = "engine"):
     route from those counts into the registry (and thus into fleet
     snapshots, the Prometheus exposition, and progress records); the
     OBS002 lint rule flags registry writes from engine code directly.
-    Gauges resolve the telemetry through the simulator on every read,
-    matching the owning-object discipline above.
+    Gauges resolve the telemetry through the simulator on every read
+    (:func:`register_simulator` passes its weak proxy), matching the
+    owning-object discipline above.
     """
     scope = registry.scoped(prefix)
     scope.bind("runs.compiled", lambda: sim.engine_telemetry.compiled)
@@ -222,8 +229,10 @@ class SimHooks:
     this exists and the simulator's hot path sees only ``None`` checks.
     """
 
-    def __init__(self, sim, session):
+    def __init__(self, sim, session, settle=None):
         self.sim = sim
+        # Called before every sample: batch-settled statistics catch up.
+        self.settle = settle
         self.tracer = session.tracer
         self.profiler = session.profiler
         self.samples = session.samples
@@ -256,6 +265,8 @@ class SimHooks:
             self.sample(now)
 
     def sample(self, now: float) -> None:
+        if self.settle is not None:
+            self.settle()
         snap = self.sim.registry.snapshot()
         snap["ts"] = self.tracer.to_trace_time(now)
         snap["events"] = self._events

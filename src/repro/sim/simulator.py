@@ -16,16 +16,23 @@ Reproduces the performance methodology of the paper's section 6:
 
 The core is deliberately simple — an out-of-order core is abstracted to
 an issue width plus a stall-overlap factor — because every effect the
-paper reports is a *memory-system* effect.
+paper reports is a *memory-system* effect. The traffic rules live in
+one place, the per-miss walk of :mod:`repro.fastpath.walk`.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.config import MachineConfig
 from .. import fastpath, obs
 from ..core.machine import plan_layout
+from ..fastpath.walk import (
+    _T_IFETCH, _TOKEN_KIND, _TOKEN_METAS, K_COUNTER, K_MAC_FRAC, K_MAC_WB,
+    KIND_NAMES, credit, miss_walk, token_counts,
+)
 from ..mem.bus import MemoryBus
-from ..mem.cache import COUNTER, DATA, MAC, MERKLE, SetAssociativeCache
+from ..mem.cache import SetAssociativeCache
 from ..mem.layout import BLOCK_SIZE
 from ..obs.adapters import SimHooks, register_simulator, sim_result_fields
 from ..schemes import encryption_scheme, integrity_scheme
@@ -57,12 +64,12 @@ class TimingSimulator:
     replayed per configuration; the default for cold-start runs) and the
     instrumented reference loop in :meth:`_run_reference`, which serves
     every run the replay cannot model and every run under an active
-    :mod:`repro.obs` session. The reference loop sends every L2 miss
-    through :meth:`_miss` and its helpers, the one home of the traffic
-    model; the lowering applies the same state transitions off the
-    clock. Both compute the identical arithmetic in the identical order,
-    so results — including the committed figure-6 golden sweep — are
-    byte-identical whichever runs.
+    :mod:`repro.obs` session. Both run every L2 miss through the one
+    per-miss walk (:func:`repro.fastpath.walk.miss_walk`): the lowering
+    off the clock on model caches, the reference loop on the live caches
+    with each transfer timed on the live bus. Both compute the identical
+    arithmetic in the identical order, so results — including the
+    committed figure-6 golden sweep — are byte-identical whichever runs.
     """
 
     __slots__ = (
@@ -109,7 +116,7 @@ class TimingSimulator:
         "counter_misses",
         "registry",
         "engine_telemetry",
-        "_hooks",
+        "__weakref__",
     )
 
     def __init__(self, config: MachineConfig, overlap: float = 0.7):
@@ -148,15 +155,13 @@ class TimingSimulator:
         self._mac_bytes = config.mac_bytes
         self._cache_data_macs = config.caches_data_macs
 
-        # Deferred tree maintenance, from the descriptor's update policy:
-        # counter writebacks queue their tree walks; the queue drains once
-        # it reaches the batch size (and at end of run), with overlapping
-        # walks to the same counter block coalesced into one.
+        # Deferred tree maintenance, from the descriptor's update policy
+        # (the per-miss walk queues, drains and coalesces the walks).
         policy = integ_scheme.update_policy
         self._deferred_updates = policy.deferred and self._walks_tree
         self._update_batch = policy.batch
         self._update_coalesce = policy.coalesce
-        self._pending_walks: list[int] = []
+        self._pending_walks: list[int] = []  # counter blocks owing a walk
         self.tree_deferred = 0
         self.tree_drains = 0
         self.tree_coalesced = 0
@@ -205,191 +210,10 @@ class TimingSimulator:
         # pull-model bindings over the stats above, read only when a
         # snapshot is taken, so registration costs nothing per event.
         # ``engine_telemetry`` attributes each run() to the engine that
-        # executed it (one attribute bump per run, never per event);
-        # ``_hooks`` (live event tracing) is non-None only inside the
-        # measured interval of a run under an active obs session.
+        # executed it (one attribute bump per run, never per event).
         self.engine_telemetry = fastpath.EngineTelemetry()
         self.registry = MetricsRegistry()
         register_simulator(self.registry, self)
-        self._hooks = None
-
-    # -- metadata address helpers -------------------------------------------------
-
-    def _counter_block_addr(self, addr: int) -> int:
-        return self._ctr_base + (addr // self._cb_span) * BLOCK_SIZE
-
-    def _mac_block_addr(self, addr: int) -> int:
-        return self._mac_base + (addr // BLOCK_SIZE * self._mac_bytes // BLOCK_SIZE) * BLOCK_SIZE
-
-    # -- integrity traffic ---------------------------------------------------------
-
-    def _tree_walk(self, covered_addr: int, now: float, make_dirty: bool) -> int:
-        """Fetch Merkle nodes up to the first one cached in L2.
-
-        Under non-precise verification (the paper's default, section 6)
-        this costs bandwidth and L2 occupancy only; the precise mode uses
-        the returned count of fetched nodes to stall the pipeline.
-        """
-        index = (covered_addr - self._covered_start) // BLOCK_SIZE
-        arity = self._arity
-        l2 = self.node_cache if self.node_cache is not None else self.l2
-        hooks = self._hooks
-        fetched = 0
-        for base in self._walk_bases:
-            index //= arity
-            node_addr = base + index * BLOCK_SIZE
-            if l2.lookup(node_addr, make_dirty):
-                return fetched
-            self.bus.request(now, "merkle")
-            if hooks is not None:
-                hooks.emit("merkle_fetch", ts=now, level=fetched, addr=node_addr,
-                           dirty=make_dirty)
-            fetched += 1
-            victim = l2.insert(node_addr, MERKLE, make_dirty)
-            if victim is not None and victim.dirty:
-                self._writeback(victim, now)
-        # Fell off the top: the root register verifies/absorbs the update.
-        return fetched
-
-    def _data_mac_traffic(self, addr: int, now: float, write: bool) -> int:
-        """Per-block MAC fetch/update for BMT and MAC-only schemes.
-
-        Returns the number of off-chip fetches it issued (0 when the MAC
-        was found cached) for the precise-verification mode.
-        """
-        if self._cache_data_macs:
-            mac_addr = self._mac_block_addr(addr)
-            l2 = self.l2
-            if l2.lookup(mac_addr, write):
-                return 0
-            self.bus.request(now, "mac")
-            victim = l2.insert(mac_addr, MAC, write)
-            if victim is not None and victim.dirty:
-                self._writeback(victim, now)
-            return 1
-        # Uncached MACs: every miss fetches, every writeback read-modify-
-        # writes — but only the MAC itself crosses the bus, not a full line.
-        self.bus.request(now, "mac_wb" if write else "mac",
-                         self._mac_bytes / BLOCK_SIZE)
-        return 0 if write else 1
-
-    # -- counter path -----------------------------------------------------------------
-
-    def _counter_access(self, addr: int, now: float, write: bool, data_ready: float) -> float:
-        """Look up the block's counter; returns extra critical-path stall.
-
-        A counter-cache hit lets pad generation overlap the data fetch
-        (AES latency < memory latency: fully hidden). A miss must fetch —
-        and, under a tree scheme, verify — the counter block first.
-        """
-        cb_addr = self._counter_block_addr(addr)
-        counter_cache = self.counter_cache
-        self.counter_accesses += 1
-        if counter_cache.lookup(cb_addr, write):
-            return 0.0
-        self.counter_misses += 1
-        if self._hooks is not None:
-            self._hooks.emit("counter_miss", ts=now, addr=cb_addr, write=write)
-        start, _ = self.bus.request(now, "counter")
-        counter_ready = start + self.mem_latency
-        victim = counter_cache.insert(cb_addr, COUNTER, write)
-        if victim is not None and victim.dirty:
-            self._writeback_counter_block(victim.block * BLOCK_SIZE, now)
-        if self._walks_tree:
-            self._tree_walk(cb_addr, now, False)
-        if write:
-            return 0.0  # writebacks are off the critical path
-        pad_ready = counter_ready + self.aes_latency
-        return max(0.0, pad_ready - data_ready)
-
-    def _writeback_counter_block(self, cb_addr: int, now: float) -> None:
-        self.bus.request(now, "counter_wb")
-        if not self._walks_tree:
-            return
-        if self._deferred_updates:
-            self._defer_walk(cb_addr, now)
-        else:
-            self._tree_walk(cb_addr, now, True)
-
-    def _defer_walk(self, cb_addr: int, now: float) -> None:
-        """Queue a dirty-path walk instead of performing it (bmt_lazy)."""
-        self._pending_walks.append(cb_addr)
-        self.tree_deferred += 1
-        if len(self._pending_walks) >= self._update_batch:
-            self._drain_pending_walks(now)
-
-    def _drain_pending_walks(self, now: float) -> None:
-        """Drain the pending-update queue onto the bus.
-
-        Writeback walks are off the critical path, so draining costs
-        bandwidth (and node-cache churn), never stall — the deferral
-        moves and merges that traffic rather than hiding it. Coalescing
-        collapses queued walks that share a counter block into one.
-        """
-        pending = self._pending_walks
-        if not pending:
-            return
-        self._pending_walks = []
-        self.tree_drains += 1
-        if self._update_coalesce:
-            seen = set()
-            for cb_addr in pending:
-                if cb_addr in seen:
-                    self.tree_coalesced += 1
-                    continue
-                seen.add(cb_addr)
-                self._tree_walk(cb_addr, now, True)
-        else:
-            for cb_addr in pending:
-                self._tree_walk(cb_addr, now, True)
-
-    # -- writebacks ---------------------------------------------------------------------
-
-    def _writeback(self, victim, now: float) -> None:
-        addr = victim.block * BLOCK_SIZE
-        if victim.line_class == MERKLE or victim.line_class == MAC:
-            self.bus.request(now, "merkle_wb")
-            return
-        # Dirty data leaving the chip: encrypt (bump counter) + re-MAC.
-        self.bus.request(now, "data_wb")
-        if self.uses_counter_cache:
-            self._counter_access(addr, now, True, now)
-        if self._tree_covers_data:
-            self._tree_walk(addr, now, True)
-        elif self._uses_data_macs:
-            self._data_mac_traffic(addr, now, True)
-
-    # -- the demand miss path --------------------------------------------------------------
-
-    def _miss(self, addr: int, is_write: bool, now: float) -> float:
-        """Handle an L2 demand miss; returns the raw critical-path latency."""
-        start, _ = self.bus.request(now, "data")
-        data_ready = start + self.mem_latency
-        extra = 0.0
-        if self.uses_counter_cache:
-            extra = self._counter_access(addr, now, False, data_ready)
-            self.exposed_cycles += extra
-        elif self._serial_decrypt:
-            extra = self.aes_latency  # decryption serialized after the fetch
-            self.exposed_cycles += extra
-        if extra and self._hooks is not None:
-            self._hooks.emit("decrypt_exposed", ts=now, addr=addr, dur=extra)
-        integrity_fetches = 0
-        if self._tree_covers_data:
-            integrity_fetches = self._tree_walk(addr, now, False)
-        elif self._uses_data_macs:
-            integrity_fetches = self._data_mac_traffic(addr, now, False)
-        if self._verify_on_path:
-            # Precise verification: the load cannot retire until the MAC
-            # chain checks out — the hash latency always shows, plus a
-            # serialized memory round-trip when metadata had to be fetched.
-            extra += self.mac_latency
-            if integrity_fetches:
-                extra += self.mem_latency
-        victim = self.l2.insert(addr, DATA, is_write)
-        if victim is not None and victim.dirty:
-            self._writeback(victim, now)
-        return (data_ready - now) + extra
 
     # -- main loop ------------------------------------------------------------------------------
 
@@ -451,7 +275,6 @@ class TimingSimulator:
             self.node_cache.clear()
         self.bus.reset()
         scheme.reset_timing_state(self)
-        self._hooks = None
         self._reset_stats()
 
     def run(self, trace: Trace, label: str | None = None, warmup: float = 0.25,
@@ -477,17 +300,10 @@ class TimingSimulator:
         reference loop otherwise; both produce bit-identical results.
         """
         self.bus.rebase(0.0)
-        self._hooks = None
         self._reset_stats()
         now, measured_from, measured_instructions = fastpath.execute(
             self, trace, warmup, _OCCUPANCY_SAMPLE_PERIOD, obs.session()
         )
-
-        # End-of-run drain: a deferred tree owes the bus its queued walks
-        # before the run's traffic accounting closes (deferred schemes
-        # always run on the reference loop).
-        if self._deferred_updates:
-            self._drain_pending_walks(now)
 
         measured_cycles = now - measured_from
         snapshot = self.registry.snapshot()
@@ -514,11 +330,14 @@ class TimingSimulator:
                        session) -> tuple[float, float, int]:
         """The instrumented reference loop, one event at a time.
 
-        Required whenever a :mod:`repro.obs` session is active (live
-        hooks need per-event callback sites); it also runs every run the
-        compiled replay cannot model and every run with
+        It serves obs sessions (live hooks need per-event callback
+        sites), every run the compiled replay cannot model and
         ``REPRO_FASTPATH=0``, and it is the reference side of
-        ``benchmarks/bench_throughput.py``'s speedup measurement.
+        ``benchmarks/bench_throughput.py``. Every miss runs the per-miss
+        walk on the live caches; its sink times each transfer on the
+        live bus as the walk produces it. Metadata statistics settle from
+        the keys' delta rows before every interval sample and at the end
+        of the run.
         """
         decoded = trace.decoded()
         gaps = decoded.gaps
@@ -527,13 +346,53 @@ class TimingSimulator:
 
         l2 = self.l2
         lookup = l2.lookup
-        miss = self._miss
+        request = self.bus.request
         issue = self.issue_width
         hit_latency = self.l2_hit_latency
         overlap = self.overlap
-        now = 0.0
-        pending_hooks = SimHooks(self, session) if session is not None else None
+        mem_latency = self.mem_latency
+        aes_latency = self.aes_latency
+        mac_latency = self.mac_latency
+        uses_cc = self.uses_counter_cache
+        serial_decrypt = self._serial_decrypt
+        verify_on_path = self._verify_on_path
+        names = [KIND_NAMES[kind] if kind is not None else None
+                 for kind in _TOKEN_KIND]
+        fractions = [1.0] * len(names)
+        fractions[K_MAC_FRAC] = fractions[K_MAC_WB] = self._mac_bytes / BLOCK_SIZE
+
+        ev: list = []  # the current miss's tokens
+        push = ev.append
+        keys: dict = {}  # key -> misses not yet settled
+        # The current miss's clock and the armed hooks, for the closures
+        # below (the loop's own ``now`` and ``hooks`` stay fast locals).
+        clock = [0.0]
+        armed = [None]
+
+        def sink(token):  # a transfer: timed on the bus as it is produced
+            push(token)
+            request(clock[0], names[token], fractions[token])
+
+        def emit(event, **fields):
+            if armed[0] is not None:
+                armed[0].emit(event, ts=clock[0], **fields)
+
+        def settle():
+            if keys:
+                credit(self, np.array(list(keys.values()))
+                       @ token_counts(list(keys)) @ _TOKEN_METAS[tree_is_l2])
+                keys.clear()
+
+        walk = miss_walk(self, sink, push, live=True,
+                         emit=None if session is None else emit)
+        tree_is_l2 = walk.tree_is_l2
+        counter_block = walk.counter_block
+        counter_access = walk.counter_access
+        fill = walk.fill
+        pending_hooks = (SimHooks(self, session, settle)
+                         if session is not None else None)
         hooks = None
+        now = 0.0
         sample_countdown = sample_period
         warm_events = int(len(addresses) * warmup)
         measured_from = 0.0
@@ -543,9 +402,10 @@ class TimingSimulator:
         for gap, op, addr in zip(gaps, ops, addresses):
             if event_index == warm_events:
                 self._reset_stats()
+                keys.clear()
                 measured_from = now
                 if pending_hooks is not None:
-                    hooks = self._hooks = pending_hooks
+                    hooks = armed[0] = pending_hooks
                     hooks.begin(now)
             event_index += 1
             now += gap / issue
@@ -557,7 +417,36 @@ class TimingSimulator:
                     hooks.account("l2_hit", hit_latency)
             else:
                 self.demand_misses += 1
-                raw = miss(addr, write, now)
+                start, end = request(now, "data")
+                data_ready = start + mem_latency
+                clock[0] = now
+                ev.clear()
+                extra = 0.0
+                if uses_cc:
+                    counter_access(counter_block(addr), False)
+                    if ev[0] == K_COUNTER:
+                        # The pad waits for the counter block, whose fetch
+                        # starts as the demand fetch ends.
+                        extra = max(0.0, ((end + mem_latency) + aes_latency)
+                                    - data_ready)
+                    self.exposed_cycles += extra
+                elif serial_decrypt:
+                    extra = aes_latency  # decryption serialized after the fetch
+                    self.exposed_cycles += extra
+                if extra and hooks is not None:
+                    hooks.emit("decrypt_exposed", ts=now, addr=addr, dur=extra)
+                fill(addr // BLOCK_SIZE, write)
+                if verify_on_path:
+                    # Precise verification: the load cannot retire until
+                    # the MAC chain checks out; the hash latency always
+                    # shows, plus a serialized memory round-trip when
+                    # metadata had to be fetched.
+                    extra += mac_latency
+                    if _T_IFETCH in ev:
+                        extra += mem_latency
+                key = tuple(ev)
+                keys[key] = keys.get(key, 0) + 1
+                raw = (data_ready - now) + extra
                 now += hit_latency + raw * overlap
                 if hooks is not None:
                     hooks.miss_latency.observe(raw)
@@ -576,12 +465,23 @@ class TimingSimulator:
         if addresses and warm_events >= len(addresses):
             # Degenerate warmup covering the whole trace: nothing measured.
             self._reset_stats()
+            keys.clear()
             measured_from = now
             measured_instructions = 0
 
         if hooks is not None:
             hooks.finish(now)
-            self._hooks = None
+            armed[0] = None
+        if self._deferred_updates:
+            # End-of-run drain, untraced: a deferred tree owes the bus its
+            # queued walks before the run's traffic accounting closes.
+            clock[0] = now
+            ev.clear()
+            walk.drain()
+            key = tuple(ev)
+            keys[key] = keys.get(key, 0) + 1
+        settle()
+        walk.close()
 
         return now, measured_from, measured_instructions
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.config import MachineConfig
 from repro.core.machine import IMAGE_HEADER, SecureMemorySystem, plan_layout
+from repro.fastpath.walk import miss_walk
 from repro.mem.layout import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE
 from repro.schemes import encryption_keys, encryption_scheme, integrity_keys, integrity_scheme
 from repro.sim.simulator import TimingSimulator
@@ -43,7 +44,7 @@ class TestCounterGeometryParity:
 
     def test_functional_and_timing_agree_on_counter_block_addresses(self, enc):
         machine = SecureMemorySystem(_config(enc))
-        sim = TimingSimulator(_config(enc))
+        walk = miss_walk(TimingSimulator(_config(enc)), [].append)
         sample = [
             0,
             BLOCK_SIZE,
@@ -53,7 +54,7 @@ class TestCounterGeometryParity:
             DATA_BYTES - BLOCK_SIZE,
         ]
         for addr in sample:
-            assert machine.encryption.counter_block_address(addr) == sim._counter_block_addr(addr), (
+            assert machine.encryption.counter_block_address(addr) == walk.counter_block(addr) * BLOCK_SIZE, (
                 f"{enc}: functional and timing models disagree at {addr:#x}"
             )
 

@@ -31,7 +31,7 @@ from repro.api import preset_names
 from repro.core import IntegrityError, sanitizer
 from repro.core.config import PRESET_NAMES, CacheConfig, MachineConfig
 from repro.core.errors import ConfigurationError
-from repro.fastpath import compiled
+from repro.fastpath import compiled, walk
 from repro.mem.layout import BLOCK_SIZE
 from repro.sim.simulator import _OCCUPANCY_SAMPLE_PERIOD, TimingSimulator
 from repro.sim.trace import Trace
@@ -161,16 +161,15 @@ class TestEdges:
         assert as_fields(comp2) == as_fields(ref2)
 
     def test_armed_sanitizer_disables_the_compiled_replay(self):
-        from repro.fastpath.compiled import execute_compiled
-
         trace = random_trace(events=800, seed=5)
         config = MachineConfig.preset("aise+bmt")
-        with sanitizer.sanitized():
-            assert execute_compiled(TimingSimulator(config), trace,
-                                    0.25, 64) is None
-            # ... and the full run (reference loop) still works and
-            # matches the unsanitized result.
-            armed = run_reference(config, trace)
+        sim = TimingSimulator(config)
+        with sanitizer.sanitized(), fastpath.forced(True):
+            armed = sim.run(trace)
+        telemetry = sim.engine_telemetry
+        assert (telemetry.last_engine, telemetry.last_reason) == (
+            fastpath.ENGINE_REFERENCE, "sanitizer_armed")
+        # ... and the reference loop's result matches the unarmed one.
         assert as_fields(armed) == as_fields(run_compiled(config, trace))
 
     def test_lowering_is_shared_across_timing_parameters(self):
@@ -306,7 +305,7 @@ class TestStagedLowering:
             staged, sequential = both_lowerings(config, trace)
             assert_same_lowering(staged, sequential)
             assert int(staged.key_metas[staged.key_idx,
-                                        compiled._L2WB].sum()) > 0
+                                        walk._L2WB].sum()) > 0
 
     @pytest.mark.parametrize("events", [10, 5 * _OCCUPANCY_SAMPLE_PERIOD + 17])
     def test_partial_sample_periods(self, events):

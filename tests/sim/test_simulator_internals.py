@@ -1,9 +1,15 @@
 """Deeper timing-model mechanics: writeback chains, metadata dirtiness,
 occupancy sampling, and cross-configuration invariants."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro import fastpath
+
 from repro.core.config import MachineConfig
+from repro.fastpath.walk import miss_walk
 from repro.sim.simulator import TimingSimulator
 from repro.sim.trace import OP_READ, OP_WRITE, Trace
 from repro.workloads.synthetic import WorkloadProfile, generate_trace
@@ -46,26 +52,31 @@ class TestWritebackChains:
 
 
 class TestMetadataAddressing:
+    """Through the address functions the per-miss walk itself uses."""
+
     def test_aise_counter_block_shared_by_page(self):
-        sim = TimingSimulator(MachineConfig(encryption="aise", integrity="none"))
-        assert sim._counter_block_addr(0) == sim._counter_block_addr(4095)
-        assert sim._counter_block_addr(4096) == sim._counter_block_addr(0) + 64
+        walk = miss_walk(TimingSimulator(MachineConfig(encryption="aise", integrity="none")),
+                         [].append)
+        assert walk.counter_block(0) == walk.counter_block(4095)
+        assert walk.counter_block(4096) == walk.counter_block(0) + 1
 
     def test_global64_counter_block_spans_8_blocks(self):
-        sim = TimingSimulator(MachineConfig(encryption="global64", integrity="none"))
-        assert sim._counter_block_addr(0) == sim._counter_block_addr(511)
-        assert sim._counter_block_addr(512) == sim._counter_block_addr(0) + 64
+        walk = miss_walk(TimingSimulator(MachineConfig(encryption="global64", integrity="none")),
+                         [].append)
+        assert walk.counter_block(0) == walk.counter_block(511)
+        assert walk.counter_block(512) == walk.counter_block(0) + 1
 
     def test_mac_block_addressing(self):
-        sim = TimingSimulator(MachineConfig.preset("aise+bmt"))
+        walk = miss_walk(TimingSimulator(MachineConfig.preset("aise+bmt")), [].append)
         # 128-bit MACs: 4 MACs per 64B block.
-        assert sim._mac_block_addr(0) == sim._mac_block_addr(3 * 64)
-        assert sim._mac_block_addr(4 * 64) == sim._mac_block_addr(0) + 64
+        assert walk.mac_block(0) == walk.mac_block(3)
+        assert walk.mac_block(4) == walk.mac_block(0) + 1
 
     def test_metadata_lives_outside_data_region(self):
         sim = TimingSimulator(MachineConfig.preset("aise+bmt"))
-        assert sim._counter_block_addr(0) >= sim.layout.counter_base
-        assert sim._mac_block_addr(0) >= sim.layout.mac_base
+        walk = miss_walk(sim, [].append)
+        assert walk.counter_block(0) * 64 >= sim.layout.counter_base
+        assert walk.mac_block(0) * 64 >= sim.layout.mac_base
 
 
 class TestStatsHygiene:
@@ -153,3 +164,27 @@ class TestVirtualAddressStorageCost:
         virt = TimingSimulator(MachineConfig(encryption="virt_addr", integrity="none")).run(trace)
         phys = TimingSimulator(MachineConfig(encryption="phys_addr", integrity="none")).run(trace)
         assert virt.l2_misses >= phys.l2_misses
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_dropped_simulator_is_freed_without_the_cycle_collector(self, gate):
+        """Simulator and registry form no reference cycle: the registry's
+        gauges hold the simulator weakly, so ``del`` frees it (and its
+        cache sets) at once."""
+        trace = generate_trace(WorkloadProfile("life", hot_bytes=64 * 1024,
+                                               cold_bytes=1 << 20,
+                                               write_fraction=0.3), 2000, seed=3)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = TimingSimulator(MachineConfig.preset("aise+bmt"))
+            with fastpath.forced(gate):
+                sim.run(trace)
+            assert sim.registry.snapshot()["sim.demand_accesses"] > 0
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()

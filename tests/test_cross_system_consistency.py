@@ -9,8 +9,9 @@ import pytest
 
 from repro.core import MachineConfig, SecureMemorySystem
 from repro.core.machine import plan_layout
+from repro.fastpath.walk import miss_walk
 from repro.sim.simulator import TimingSimulator
-from repro.mem.layout import PAGE_SIZE
+from repro.mem.layout import BLOCK_SIZE, PAGE_SIZE
 
 CONFIGS = [
     MachineConfig(physical_bytes=64 * PAGE_SIZE, encryption="aise", integrity="bonsai"),
@@ -26,25 +27,27 @@ class TestSharedLayout:
     def test_counter_addresses_agree(self, config):
         machine = SecureMemorySystem(config)
         machine.boot()
-        sim = TimingSimulator(config)
+        walk = miss_walk(TimingSimulator(config), [].append)
         if not machine.encryption.uses_counters:
             pytest.skip("no counters")
         for paddr in (0, 64, PAGE_SIZE, 5 * PAGE_SIZE + 128):
-            assert machine.encryption.counter_block_address(paddr) == sim._counter_block_addr(paddr)
+            assert (machine.encryption.counter_block_address(paddr)
+                    == walk.counter_block(paddr) * BLOCK_SIZE)
 
     def test_mac_addresses_agree(self, config):
         machine = SecureMemorySystem(config)
         machine.boot()
-        sim = TimingSimulator(config)
+        walk = miss_walk(TimingSimulator(config), [].append)
         store = getattr(machine.integrity, "store", None)
         if store is None:
             pytest.skip("no per-block MAC store")
         for paddr in (0, 64, 3 * 64, PAGE_SIZE + 192):
-            assert store.mac_block_address(paddr) == sim._mac_block_addr(paddr)
+            assert (store.mac_block_address(paddr)
+                    == walk.mac_block(paddr // BLOCK_SIZE) * BLOCK_SIZE)
 
     def test_tree_walks_agree(self, config):
-        """The timing model's inlined walk visits exactly the node blocks
-        the functional tree stores MACs in."""
+        """The timing model's per-miss walk fetches exactly the node
+        blocks the functional tree stores MACs in."""
         machine = SecureMemorySystem(config)
         machine.boot()
         sim = TimingSimulator(config)
@@ -54,12 +57,17 @@ class TestSharedLayout:
         covered_addr = geometry.covered_start + 5 * 64
         functional = [ref.address for ref in geometry.walk(covered_addr)]
 
-        # Reproduce the simulator's inline walk.
-        index = (covered_addr - sim._covered_start) // 64
-        timing = []
-        for base in sim._walk_bases:
-            index //= sim._arity
-            timing.append(base + index * 64)
+        # A cold walk fetches every level; it reports each fetch.
+        fetches = []
+        walk = miss_walk(sim, [].append,
+                         emit=lambda event, **fields: fetches.append((event, fields)))
+        block = covered_addr // BLOCK_SIZE
+        if sim._tree_covers_data:
+            walk.fill(block, False)
+        else:  # the tree covers counter blocks
+            walk.counter_access(block, False)
+        timing = [fields["addr"] for event, fields in fetches
+                  if event == "merkle_fetch"]
         assert timing == functional
 
     def test_layouts_identical(self, config):
