@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Throughput benchmark: the fastpath engine vs the reference loops.
+"""Throughput benchmark: the fast paths vs what runs with the gate off.
 
 Measures accesses/sec on both halves of the library — the functional
 machine (real crypto, ``read_block``/``write_block``) and the trace-
 driven timing model (``TimingSimulator.run``) — once with
-``repro.fastpath`` forced off (the pre-fastpath reference loops, kept
-in-tree for exactly this comparison) and once forced on. The timing
-model is priced with a fresh simulator per run (cold caches, the
-sweep-cell and served-request protocol) in the ``timing_compiled``
-section, over presets the trace pre-compiler
-(:mod:`repro.fastpath.compiled`) serves: its memoized lowering is
-replayed per run, exactly as a grid sweep replays it per cell. Presets
-the pre-compiler turns away run the reference loop either way, so
-there is nothing to compare for them. All runs happen in the same
-process on the same inputs, so the *speedup ratios* are meaningful on
-any machine even though absolute accesses/sec are not.
+``repro.fastpath`` forced off and once forced on. Off, the functional
+machine runs its reference implementations (no pad memo, no interned
+seeds), and a timing run is a live run: a walk of the simulator's own
+caches, then the replay. The timing model is priced with a fresh
+simulator per run (cold caches, the sweep-cell and served-request
+protocol) in the ``timing_compiled`` section, over presets the memoized
+replay (:mod:`repro.fastpath.compiled`) serves: its lowering is replayed
+per run, exactly as a grid sweep replays it per cell, so the ratio is
+what memoizing the walk saves. Presets the memoized replay turns away
+run live either way, so there is nothing to compare for them. All runs
+happen in the same process on the same inputs, so the *speedup ratios*
+are meaningful on any machine even though absolute accesses/sec are
+not.
 
 Emits ``BENCH_throughput.json`` (the repo's perf trajectory; committed
 at the repo root). ``--check`` re-runs the benchmark and fails if a
@@ -99,7 +101,6 @@ def _timing_cold_accesses_per_sec(preset: str, trace, repeats: int) -> float:
 
 def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
     trace = load_trace("art", events)
-    trace.decoded()  # pre-decode off the clock, as the reference loop reuses it
     report = {
         "meta": {
             "events": events,

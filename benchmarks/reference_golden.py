@@ -1,9 +1,9 @@
-"""The reference-loop golden: the timing runs compiled replay never serves.
+"""The live-run golden: the timing runs the memoized replay never serves.
 
 The figure-6 golden (``golden/figure6-events30000.json``) is a cold
-sweep, which compiled replay answers under the default gate. Two kinds
-of run always take the simulator's reference loop instead, so that
-golden cannot pin them; this one does, at 30,000 events per trace:
+sweep, which the memoized replay answers under the default gate. Two
+kinds of run always walk the simulator's own caches live instead, so
+that golden cannot pin them; this one does, at 30,000 events per trace:
 
 * ``<bench>/aise+bmt_lazy/cold`` — the lazy, coalescing tree-update
   scheme (engine reason ``deferred_updates``) on each of the 21

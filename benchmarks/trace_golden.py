@@ -1,10 +1,10 @@
 """The traced-run golden: event streams and interval snapshots, digested.
 
-A traced run (:func:`repro.api.trace`) always takes the simulator's
-reference loop, and everything it records comes from the obs emission
-points inside the per-miss walk: ``counter_miss``, ``bus_grant``,
-``merkle_fetch``, ``decrypt_exposed`` and ``l2_miss`` events in their
-order, and interval snapshots of the metrics registry every
+A traced run (:func:`repro.api.trace`) is always a live run, walked and
+replayed chunk by chunk, and everything it records comes from the obs
+emission points of the per-miss walk and the replay: ``counter_miss``,
+``bus_grant``, ``merkle_fetch``, ``decrypt_exposed`` and ``l2_miss``
+events in their order, and interval snapshots of the metrics registry every
 ``INTERVAL`` measured events. This golden pins both, at ``EVENTS``
 events of two workloads: ``mcf``, and ``conflict``, a seeded synthetic
 trace crowded into a few L2 and counter-cache sets, so that dirty

@@ -222,13 +222,23 @@ def precompile(workload, config="aise+bmt", *, events: int = 60_000) -> dict:
     the summary (or the Trace you passed in) to the later
     :func:`simulate` calls — a workload *name* resolves to a fresh,
     identical Trace each time and would re-lower.
+
+    A configuration whose runs the memoized replay never serves (a
+    deferred-update tree such as ``bmt_lazy``: engine reason
+    ``deferred_updates``; every run walks live) has nothing to
+    precompile and raises ValueError.
     """
     from ..fastpath.compiled import classification_key, compiled_for
-    from ..sim.simulator import _OCCUPANCY_SAMPLE_PERIOD
+    from ..sim.simulator import _OCCUPANCY_SAMPLE_PERIOD, run_label
 
-    resolved, _ = _resolve_config(config)
-    trace_ = load_trace(workload, events)
+    resolved, label = _resolve_config(config)
     sim = TimingSimulator(resolved)
+    if sim._deferred_updates:
+        raise ValueError(
+            f"{run_label(resolved, label)}: the memoized replay never serves a deferred-update "
+            "tree (engine reason deferred_updates); its runs walk live, so "
+            "there is nothing to precompile")
+    trace_ = load_trace(workload, events)
     key = classification_key(sim, _OCCUPANCY_SAMPLE_PERIOD)
     cached = key in trace_.__dict__.get("_compiled", {})
     artifact = compiled_for(sim, trace_, _OCCUPANCY_SAMPLE_PERIOD)
@@ -409,8 +419,9 @@ def trace(
     """Run one workload with live event tracing and interval sampling.
 
     The simulation runs under an ambient :mod:`repro.obs` session (which
-    selects the instrumented reference loop — observability and the
-    compiled replay are mutually exclusive by design). ``jsonl``
+    selects a live run: the simulator's own caches are walked and
+    replayed interval by interval, so every sample reads the live
+    state). ``jsonl``
     is an optional writable text file that additionally receives each
     raw event as a JSON line while the run progresses.
     """

@@ -206,8 +206,8 @@ class Cell:
 
 
 # Worker-local trace memo: a pool worker executes many cells, typically
-# cycling over few benchmarks, and a kept Trace carries its decoded form
-# and compiled lowerings (repro.fastpath.compiled) with it — so sweep
+# cycling over few benchmarks, and a kept Trace carries its clock
+# increments and compiled lowerings (repro.fastpath.compiled) with it — so sweep
 # cells sharing a trace replay one lowering instead of re-generating and
 # re-lowering per cell. Bounded: a grid rarely cycles more benchmarks
 # than this concurrently, and each entry holds megabytes.
@@ -545,7 +545,7 @@ def run_cells(
         workers = default_workers()
     base_provider = trace_provider or (lambda bench: spec_trace(bench, events))
     # Memoize per sweep: the digest pass and the serial path then share
-    # one Trace per benchmark, and with it the decoded columns and the
+    # one Trace per benchmark, and with it the clock increments and the
     # compiled lowering — every serial cell on the same trace replays one
     # pre-compilation (the multiplicative evalx win; pool workers get the
     # same effect from the module-level memo above).

@@ -9,25 +9,27 @@ of both and the switches that select them:
   (:class:`repro.crypto.engine.PadCache`), the interned seed tuples
   (:meth:`repro.core.seeds.SeedScheme.seeds_for_block`), the integer-XOR
   block cipher application (:mod:`repro.crypto.ctr_mode`), and the
-  compiled timing replay below. Disabling the gate restores the
-  reference implementations byte-for-byte — ``benchmarks/bench_throughput.py``
-  runs both sides in the same process and reports the speedup, and the
-  equivalence tests assert identical output either way.
+  memoized timing replay below. Disabling the gate restores the
+  reference implementations byte-for-byte (a timing run then walks
+  live) — ``benchmarks/bench_throughput.py`` runs both sides in the same
+  process and reports the speedup, and the equivalence tests assert
+  identical output either way.
 * :func:`execute` (:mod:`repro.fastpath.engine`) — the one place that
-  chooses the engine for :meth:`repro.sim.TimingSimulator.run`. There
-  are two: the trace **pre-compiler** (:mod:`repro.fastpath.compiled`),
-  whose lowering of a ``Trace`` into typed arrays plus a recorded
-  traffic program is memoized on the trace, reused by every run that
-  shares its traffic-shaping geometry and replayed through a lean
-  arithmetic loop; and the simulator's instrumented reference loop.
-  Both run every miss through one per-miss walk
-  (:mod:`repro.fastpath.walk`), the only home of the traffic rules.
-  Compiled replay runs unless a :mod:`repro.obs` session is active
-  (live hooks need per-event callbacks), the gate is off, or the replay
-  cannot model the run (an armed sanitizer, deferred tree updates, warm
-  caches, an empty trace). The arithmetic is identical operation for
+  chooses how :meth:`repro.sim.TimingSimulator.run` is served. Every run
+  is a walk, then a replay through one clock
+  (:mod:`repro.fastpath.compiled`). The **memoized replay** replays a
+  lowering of the ``Trace`` into typed arrays plus a recorded traffic
+  program, memoized on the trace and reused by every run that shares
+  its traffic-shaping geometry. A **live run** walks the simulator's own
+  caches and replays that walk; it serves an active :mod:`repro.obs`
+  session (its interval samples need the live state), the gate off, and
+  every run the memoized replay cannot serve (an armed sanitizer,
+  deferred tree updates, warm caches, an empty trace). Both walk every
+  miss with one per-miss walk (:mod:`repro.fastpath.walk`), the only
+  home of the traffic rules. The arithmetic is identical operation for
   operation either way, so results — including the committed figure-6
-  golden sweep — are byte-identical.
+  golden sweep — are byte-identical; ``tests/sim/clock_oracle.py``
+  holds the clock to the section-6 rules written one event at a time.
 
 Not every optimization of the functional datapath is gated. Those that
 yield the same bytes by construction, with no memo whose hit could hide
@@ -50,14 +52,15 @@ _FORCED: bool | None = None
 _FALSEY = ("0", "off", "false", "no")
 
 # The engine-attribution vocabulary. Every TimingSimulator.run() is
-# attributed to exactly one engine; a run on the reference loop also
-# carries the *reason* compiled replay was passed over. The reasons are
-# listed in the order execute() checks them.
+# attributed to exactly one engine: "compiled" (the memoized replay) or
+# "reference" (a live run: the live walk, then the clock), which also
+# carries the *reason* the memoized replay was passed over. The reasons
+# are listed in the order execute() checks them.
 ENGINE_COMPILED = "compiled"
 ENGINE_REFERENCE = "reference"
 ENGINES = (ENGINE_COMPILED, ENGINE_REFERENCE)
 FALLBACK_REASONS = (
-    "obs_session",        # live hooks need per-event callbacks
+    "obs_session",        # interval samples read the live walk's state
     "fastpath_gate_off",  # REPRO_FASTPATH=0 / forced(False)
     "sanitizer_armed",    # only the live walk carries its checks
     "deferred_updates",   # only the live walk keeps the pending-walk queue

@@ -4,10 +4,10 @@ The counter-cache access that hides or exposes AES latency, the Merkle
 walk that stops at the first cached node, the data MACs, the
 dirty-victim writeback chains and a deferred-update scheme's queue of
 pending walks are written here once. The lowering
-(:func:`repro.fastpath.compiled.lower_sequential`) and the reference
-loop (:meth:`repro.sim.TimingSimulator._run_reference`) both run
-:func:`miss_walk`; neither counts cache statistics per access, since a
-miss key's deltas follow from its tokens (both settle via :func:`credit`).
+(:func:`repro.fastpath.compiled.lower_sequential`) runs :func:`miss_walk`
+off the clock on model caches, or live on the simulator's own; it counts
+no cache statistics per access, since a miss key's deltas follow from
+its tokens (settled via :func:`credit`).
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ _L2H, _L2M, _L2WB = 0, 1, 2
 _CCH, _CCM, _CCWB = 3, 4, 5
 _TH, _TM, _TWB = 6, 7, 8
 _CA, _CM = 9, 10
-_N_META = 11
+_TD, _TDR, _TC = 11, 12, 13  # deferred walks, drains, coalesced walks
+_N_META = 14
 
 # A miss's *key* is the tuple of tokens its traffic produced, in bus
 # order: the transfer kinds above (the leading demand fetch left out)
@@ -59,10 +60,14 @@ _T_MAC_HIT = 10    # a cached data MAC hit in the L2
 _T_CC_HIT = 11     # a counter-cache hit
 _T_NODE_WB = 12    # a dirty node-cache victim written back
 _T_IFETCH = 13     # the demand miss fetched integrity metadata
-_N_TOKENS = 14
+_T_DEFER = 14      # a dirty counter block's tree walk was queued
+_T_DRAIN = 15      # the deferred queue drained
+_T_COALESCED = 16  # a drained walk merged into an earlier one
+_N_TOKENS = 17
 
 # The transfer kind of each token (None for markers).
-_TOKEN_KIND = tuple(range(_N_KINDS)) + (None, None, None, K_MERKLE_WB, None)
+_TOKEN_KIND = (tuple(range(_N_KINDS)) + (None, None, None, K_MERKLE_WB)
+               + (None,) * 4)
 
 
 def _token_matrices():
@@ -84,6 +89,8 @@ def _token_matrices():
         meta[_T_MAC_HIT, _L2H] = 1
         meta[[K_DATA_WB, K_MERKLE_WB], _L2WB] = 1
         meta[_T_NODE_WB, _TWB] = 1
+        meta[_T_DEFER, _TD] = meta[_T_DRAIN, _TDR] = 1
+        meta[_T_COALESCED, _TC] = 1
         metas[tree_is_l2] = meta
     return kinds, metas
 
@@ -104,7 +111,8 @@ def token_counts(keys: list) -> np.ndarray:
 
 def credit(sim, meta, demand_hits: int = 0, demand_misses: int = 0) -> None:
     """Credit a statistics-delta row (plus L2 demand tallies) to ``sim``'s
-    caches, through their batch-credit API, and counter tallies."""
+    caches, through their batch-credit API, and counter and deferred-tree
+    tallies."""
     sim.l2.credit_demand(demand_hits + int(meta[_L2H]),
                          demand_misses + int(meta[_L2M]), int(meta[_L2WB]))
     sim.counter_cache.credit_demand(int(meta[_CCH]), int(meta[_CCM]),
@@ -114,6 +122,9 @@ def credit(sim, meta, demand_hits: int = 0, demand_misses: int = 0) -> None:
                                      int(meta[_TWB]))
     sim.counter_accesses += int(meta[_CA])
     sim.counter_misses += int(meta[_CM])
+    sim.tree_deferred += int(meta[_TD])
+    sim.tree_drains += int(meta[_TDR])
+    sim.tree_coalesced += int(meta[_TC])
 
 
 def counter_block_of(sim):
@@ -124,8 +135,7 @@ def counter_block_of(sim):
     return lambda addr: ctr_block0 + addr // cb_span
 
 
-def miss_walk(sim, push, mark=None, live: bool = False,
-              emit=None) -> SimpleNamespace:
+def miss_walk(sim, push, live: bool = False, emit=None) -> SimpleNamespace:
     """The per-miss walk for ``sim``'s traffic geometry, pushing tokens.
 
     Returns ``counter_access(block, write)`` (a miss's demand counter
@@ -137,11 +147,9 @@ def miss_walk(sim, push, mark=None, live: bool = False,
     runs it on ``sim``'s caches (reading ``_sets`` builds a pending
     install) with the deferred queue on ``sim._pending_walks`` and,
     armed, the sanitizer's per-fill checks; otherwise it runs on fresh
-    sets and walks the tree at once. Markers, which move no data, go to
-    ``mark`` when it is given. ``emit(event, **fields)`` receives
+    sets and walks the tree at once. ``emit(event, **fields)`` receives
     ``counter_miss`` before its fetch's token and ``merkle_fetch`` after.
     """
-    mark = push if mark is None else mark
     l2 = sim.l2
     counter_cache = sim.counter_cache
     node_cache = sim.node_cache
@@ -216,7 +224,7 @@ def miss_walk(sim, push, mark=None, live: bool = False,
                 cache_set.move_to_end(block)
                 if make_dirty and not entry[0]:
                     cache_set[block] = DIRTY[entry[1]]
-                mark(_T_NODE_HIT)
+                push(_T_NODE_HIT)
                 return fetched
             push(K_MERKLE)
             if emit is not None:
@@ -243,7 +251,7 @@ def miss_walk(sim, push, mark=None, live: bool = False,
             cache_set.move_to_end(block)
             if write and not entry[0]:
                 cache_set[block] = DIRTY[entry[1]]
-            mark(_T_CC_HIT)
+            push(_T_CC_HIT)
             return
         if emit is not None:
             emit("counter_miss", addr=block * bs, write=write)
@@ -273,7 +281,7 @@ def miss_walk(sim, push, mark=None, live: bool = False,
             cache_set.move_to_end(block)
             if write and not entry[0]:
                 cache_set[block] = DIRTY[entry[1]]
-            mark(_T_MAC_HIT)
+            push(_T_MAC_HIT)
             return 0
         push(K_MAC)
         victim = install(l2, cache_set, l2_assoc, l2_classes, block,
@@ -301,10 +309,10 @@ def miss_walk(sim, push, mark=None, live: bool = False,
         # the L2 fill.
         if tree_covers_data:
             if tree_walk(block + leaf_of_block, False):
-                mark(_T_IFETCH)
+                push(_T_IFETCH)
         elif uses_data_macs:
             if mac_traffic(block, False):
-                mark(_T_IFETCH)
+                push(_T_IFETCH)
         cache_set = l2_sets[block % l2_nsets]
         entry = cache_set.get(block)
         if entry is not None:
@@ -322,7 +330,7 @@ def miss_walk(sim, push, mark=None, live: bool = False,
     def defer(block):
         # Queue a dirty counter block's walk instead of performing it.
         sim._pending_walks.append(block)
-        sim.tree_deferred += 1
+        push(_T_DEFER)
         if len(sim._pending_walks) >= batch:
             drain()
 
@@ -333,11 +341,11 @@ def miss_walk(sim, push, mark=None, live: bool = False,
         if not pending:
             return
         sim._pending_walks = []
-        sim.tree_drains += 1
+        push(_T_DRAIN)
         seen = set()
         for block in pending:
             if coalesce and block in seen:
-                sim.tree_coalesced += 1
+                push(_T_COALESCED)
                 continue
             seen.add(block)
             tree_walk(block + leaf_of_block, True)

@@ -61,16 +61,12 @@ class _Durations(dict):
 class MemoryBus:
     """A single shared channel between the processor chip and DRAM."""
 
-    __slots__ = ("_durations", "_free_at", "stats", "tracer")
+    __slots__ = ("_durations", "_free_at", "stats")
 
     def __init__(self, cycles_per_block: int = DEFAULT_CYCLES_PER_BLOCK):
         self._durations = _Durations(cycles_per_block)
         self._free_at = 0.0
         self.stats = BusStats()
-        # Optional observability tap: when a repro.obs EventTracer is
-        # attached (by SimHooks during a traced run), every grant emits a
-        # bus_grant event. None by default — one comparison per request.
-        self.tracer = None
 
     @property
     def cycles_per_block(self) -> int:
@@ -101,9 +97,6 @@ class MemoryBus:
         stats.queue_cycles += start - cycle
         by_kind = stats.transfers_by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
-        if self.tracer is not None:
-            self.tracer.emit("bus_grant", ts=start, kind=kind, dur=duration,
-                             queued=start - cycle)
         return start, end
 
     def credit(
@@ -116,10 +109,12 @@ class MemoryBus:
     ) -> None:
         """Settle a batch of transfers accounted externally.
 
-        The :mod:`repro.fastpath` engine models bus occupancy with the
+        The :mod:`repro.fastpath` replay models bus occupancy with the
         same quantized-duration arithmetic as :meth:`request` but keeps
         the running tallies (and the bus-free timestamp) in local
-        variables; it settles them here in one call at end of run.
+        variables; it settles its measured totals here (after
+        :meth:`reset_stats`, so a float total is the replay's own sum)
+        at the end of a run, and before every interval sample.
         Routing the settlement through the bus keeps every ``stats``
         write inside this module (the OBS001 invariant) and keeps
         pull-model gauges bound over ``self.stats`` truthful.

@@ -169,7 +169,7 @@ class SetAssociativeCache:
         lowering evolves a model of this cache off the clock and records
         where every line ended up; installing that snapshot afterwards
         makes warm reuse and the live ``lines.*`` gauges behave exactly
-        as if the reference loop had run. ``sets`` is a sequence with
+        as if the caches had been walked live. ``sets`` is a sequence with
         one entry per set, each an iterable of ``(block, (dirty,
         line_class))`` items, LRU first, or a mapping of them — whatever
         ``OrderedDict(entry)`` rebuilds.

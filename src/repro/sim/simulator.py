@@ -22,19 +22,12 @@ one place, the per-miss walk of :mod:`repro.fastpath.walk`.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.config import MachineConfig
 from .. import fastpath, obs
 from ..core.machine import plan_layout
-from ..fastpath.walk import (
-    _T_IFETCH, _TOKEN_KIND, _TOKEN_METAS, K_COUNTER, K_MAC_FRAC, K_MAC_WB,
-    KIND_NAMES, credit, miss_walk, token_counts,
-)
 from ..mem.bus import MemoryBus
 from ..mem.cache import SetAssociativeCache
-from ..mem.layout import BLOCK_SIZE
-from ..obs.adapters import SimHooks, register_simulator, sim_result_fields
+from ..obs.adapters import register_simulator, sim_result_fields
 from ..schemes import encryption_scheme, integrity_scheme
 from ..obs.registry import MetricsRegistry
 from .results import SimResult
@@ -58,18 +51,19 @@ def run_label(config: MachineConfig, label: str | None) -> str:
 class TimingSimulator:
     """Runs traces against one machine configuration.
 
-    ``run()`` has two interchangeable execution engines, chosen by
-    :func:`repro.fastpath.execute`: the compiled trace replay
-    (:mod:`repro.fastpath.compiled` — a memoized lowering of the trace
-    replayed per configuration; the default for cold-start runs) and the
-    instrumented reference loop in :meth:`_run_reference`, which serves
-    every run the replay cannot model and every run under an active
-    :mod:`repro.obs` session. Both run every L2 miss through the one
-    per-miss walk (:func:`repro.fastpath.walk.miss_walk`): the lowering
-    off the clock on model caches, the reference loop on the live caches
-    with each transfer timed on the live bus. Both compute the identical
+    Every ``run()`` is a walk, then a replay, through one clock
+    (:mod:`repro.fastpath.compiled`); :func:`repro.fastpath.execute`
+    picks how the walk is made. The memoized replay (engine
+    ``compiled``, the default for cold runs) replays a lowering
+    memoized on the trace and installs its final cache contents; a live
+    run (engine ``reference``) walks this simulator's own caches and
+    replays that walk, serving warm caches, a deferred-update tree, an
+    armed sanitizer, an obs session and ``REPRO_FASTPATH=0``. Both walk
+    every L2 miss with the one per-miss walk
+    (:func:`repro.fastpath.walk.miss_walk`) and replay the identical
     arithmetic in the identical order, so results — including the
-    committed figure-6 golden sweep — are byte-identical whichever runs.
+    committed figure-6 golden sweep — are byte-identical whichever
+    serves the run.
     """
 
     __slots__ = (
@@ -294,10 +288,10 @@ class TimingSimulator:
         active, live hooks (event tracing, interval samples, phase
         attribution) are armed at the warmup boundary — the tracer clock
         is rebased there, so warmup activity never appears in the measured
-        timeline. :func:`repro.fastpath.execute` picks the engine: the
-        compiled trace replay when no session is active, the fast-path
-        gate is on and the replay can model the run, the instrumented
-        reference loop otherwise; both produce bit-identical results.
+        timeline. :func:`repro.fastpath.execute` picks the path: the
+        memoized replay when no session is active, the fast-path gate is
+        on and the replay can serve the run, a live run otherwise; both
+        produce bit-identical results.
         """
         self.bus.rebase(0.0)
         self._reset_stats()
@@ -325,165 +319,6 @@ class TimingSimulator:
             metrics=metrics,
             **sim_result_fields(snapshot, measured_cycles),
         )
-
-    def _run_reference(self, trace: Trace, warmup: float, sample_period: int,
-                       session) -> tuple[float, float, int]:
-        """The instrumented reference loop, one event at a time.
-
-        It serves obs sessions (live hooks need per-event callback
-        sites), every run the compiled replay cannot model and
-        ``REPRO_FASTPATH=0``, and it is the reference side of
-        ``benchmarks/bench_throughput.py``. Every miss runs the per-miss
-        walk on the live caches; its sink times each transfer on the
-        live bus as the walk produces it. Metadata statistics settle from
-        the keys' delta rows before every interval sample and at the end
-        of the run.
-        """
-        decoded = trace.decoded()
-        gaps = decoded.gaps
-        ops = decoded.ops
-        addresses = decoded.addresses
-
-        l2 = self.l2
-        lookup = l2.lookup
-        request = self.bus.request
-        issue = self.issue_width
-        hit_latency = self.l2_hit_latency
-        overlap = self.overlap
-        mem_latency = self.mem_latency
-        aes_latency = self.aes_latency
-        mac_latency = self.mac_latency
-        uses_cc = self.uses_counter_cache
-        serial_decrypt = self._serial_decrypt
-        verify_on_path = self._verify_on_path
-        names = [KIND_NAMES[kind] if kind is not None else None
-                 for kind in _TOKEN_KIND]
-        fractions = [1.0] * len(names)
-        fractions[K_MAC_FRAC] = fractions[K_MAC_WB] = self._mac_bytes / BLOCK_SIZE
-
-        ev: list = []  # the current miss's tokens
-        push = ev.append
-        keys: dict = {}  # key -> misses not yet settled
-        # The current miss's clock and the armed hooks, for the closures
-        # below (the loop's own ``now`` and ``hooks`` stay fast locals).
-        clock = [0.0]
-        armed = [None]
-
-        def sink(token):  # a transfer: timed on the bus as it is produced
-            push(token)
-            request(clock[0], names[token], fractions[token])
-
-        def emit(event, **fields):
-            if armed[0] is not None:
-                armed[0].emit(event, ts=clock[0], **fields)
-
-        def settle():
-            if keys:
-                credit(self, np.array(list(keys.values()))
-                       @ token_counts(list(keys)) @ _TOKEN_METAS[tree_is_l2])
-                keys.clear()
-
-        walk = miss_walk(self, sink, push, live=True,
-                         emit=None if session is None else emit)
-        tree_is_l2 = walk.tree_is_l2
-        counter_block = walk.counter_block
-        counter_access = walk.counter_access
-        fill = walk.fill
-        pending_hooks = (SimHooks(self, session, settle)
-                         if session is not None else None)
-        hooks = None
-        now = 0.0
-        sample_countdown = sample_period
-        warm_events = int(len(addresses) * warmup)
-        measured_from = 0.0
-        measured_instructions = 0
-        event_index = 0
-
-        for gap, op, addr in zip(gaps, ops, addresses):
-            if event_index == warm_events:
-                self._reset_stats()
-                keys.clear()
-                measured_from = now
-                if pending_hooks is not None:
-                    hooks = armed[0] = pending_hooks
-                    hooks.begin(now)
-            event_index += 1
-            now += gap / issue
-            write = op == 1
-            self.demand_accesses += 1
-            if lookup(addr, write):
-                now += hit_latency
-                if hooks is not None:
-                    hooks.account("l2_hit", hit_latency)
-            else:
-                self.demand_misses += 1
-                start, end = request(now, "data")
-                data_ready = start + mem_latency
-                clock[0] = now
-                ev.clear()
-                extra = 0.0
-                if uses_cc:
-                    counter_access(counter_block(addr), False)
-                    if ev[0] == K_COUNTER:
-                        # The pad waits for the counter block, whose fetch
-                        # starts as the demand fetch ends.
-                        extra = max(0.0, ((end + mem_latency) + aes_latency)
-                                    - data_ready)
-                    self.exposed_cycles += extra
-                elif serial_decrypt:
-                    extra = aes_latency  # decryption serialized after the fetch
-                    self.exposed_cycles += extra
-                if extra and hooks is not None:
-                    hooks.emit("decrypt_exposed", ts=now, addr=addr, dur=extra)
-                fill(addr // BLOCK_SIZE, write)
-                if verify_on_path:
-                    # Precise verification: the load cannot retire until
-                    # the MAC chain checks out; the hash latency always
-                    # shows, plus a serialized memory round-trip when
-                    # metadata had to be fetched.
-                    extra += mac_latency
-                    if _T_IFETCH in ev:
-                        extra += mem_latency
-                key = tuple(ev)
-                keys[key] = keys.get(key, 0) + 1
-                raw = (data_ready - now) + extra
-                now += hit_latency + raw * overlap
-                if hooks is not None:
-                    hooks.miss_latency.observe(raw)
-                    hooks.emit("l2_miss", ts=now, addr=addr, write=write,
-                               latency=raw)
-                    hooks.account("l2_miss", hit_latency + raw * overlap)
-            if event_index > warm_events:
-                measured_instructions += gap + 1
-                if hooks is not None:
-                    hooks.event_tick(now)
-            sample_countdown -= 1
-            if sample_countdown == 0:
-                l2.tick_occupancy()
-                sample_countdown = sample_period
-
-        if addresses and warm_events >= len(addresses):
-            # Degenerate warmup covering the whole trace: nothing measured.
-            self._reset_stats()
-            keys.clear()
-            measured_from = now
-            measured_instructions = 0
-
-        if hooks is not None:
-            hooks.finish(now)
-            armed[0] = None
-        if self._deferred_updates:
-            # End-of-run drain, untraced: a deferred tree owes the bus its
-            # queued walks before the run's traffic accounting closes.
-            clock[0] = now
-            ev.clear()
-            walk.drain()
-            key = tuple(ev)
-            keys[key] = keys.get(key, 0) + 1
-        settle()
-        walk.close()
-
-        return now, measured_from, measured_instructions
 
 
 def simulate(trace: Trace, config: MachineConfig, overlap: float = 0.7, label: str | None = None) -> SimResult:

@@ -20,26 +20,6 @@ OP_READ = 0
 OP_WRITE = 1
 
 
-class DecodedTrace:
-    """A trace pre-decoded for the timing simulator's reference loop.
-
-    Plain Python lists (gaps, ops, block-aligned addresses): iterating
-    numpy arrays yields a fresh scalar object per element, so the hot
-    loop runs over native ints instead. :meth:`Trace.decoded` is the one
-    place the decode (and the block alignment of addresses) is written.
-    """
-
-    __slots__ = ("gaps", "ops", "addresses")
-
-    def __init__(self, gaps: list, ops: list, addresses: list):
-        self.gaps = gaps
-        self.ops = ops
-        self.addresses = addresses
-
-    def __len__(self) -> int:
-        return len(self.addresses)
-
-
 @dataclass
 class Trace:
     """Column-oriented access trace."""
@@ -90,33 +70,14 @@ class Trace:
         h.update(np.ascontiguousarray(self.addresses, dtype="<u8").tobytes())
         return h.hexdigest()
 
-    def decoded(self) -> DecodedTrace:
-        """The pre-decoded form of this trace, computed once and memoized.
-
-        A trace is immutable in practice, so the numpy→list conversion
-        is paid once and the decoded columns are cached on the instance. The memo is dropped
-        on pickling (:meth:`__getstate__`) — process-pool workers rebuild
-        it locally rather than paying to ship three redundant lists.
-        """
-        cached = self.__dict__.get("_decoded")
-        if cached is None:
-            cached = DecodedTrace(
-                gaps=self.gaps.tolist(),
-                ops=self.ops.tolist(),
-                addresses=((self.addresses // BLOCK_SIZE) * BLOCK_SIZE).tolist(),
-            )
-            self.__dict__["_decoded"] = cached
-        return cached
-
     def pres(self, issue_width: int) -> list:
         """Per-event clock increments ``gap / issue_width`` as Python
         floats, memoized per issue width.
 
-        They depend only on the trace, so every compiled replay of it
-        shares them whatever its lowering. IEEE-754 division of
-        exactly-representable integers matches the reference loop's
-        inline ``gap / issue`` bit for bit. Dropped on pickling, like
-        the other memos.
+        They depend only on the trace, so every replay of it shares them
+        whatever its lowering. IEEE-754 division of exactly-representable
+        integers matches an inline ``gap / issue`` bit for bit. Dropped on
+        pickling, like the other memos.
         """
         memo = self.__dict__.setdefault("_pres", {})
         cached = memo.get(issue_width)
@@ -126,7 +87,6 @@ class Trace:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_decoded", None)
         state.pop("_pres", None)
         state.pop("_compiled", None)  # lowerings rebuild cheaply in-process
         state.pop("_l2_stage", None)  # and so does the staged lowering's L2

@@ -141,6 +141,13 @@ class TestPrecompile:
         assert again["cached"] is True
         assert again["misses"] == summary["misses"]
 
+    def test_deferred_update_tree_has_nothing_to_precompile(self):
+        with pytest.raises(ValueError, match="deferred_updates"):
+            api.precompile("mcf", "aise+bmt_lazy", events=3000)
+        config = MachineConfig.preset("aise+bmt_lazy")
+        with pytest.raises(ValueError, match="aise\\+bmt_lazy"):
+            api.precompile("mcf", config, events=3000)
+
     def test_precompiled_trace_simulates_identically(self):
         summary = api.precompile("gcc", "aise+bmt", events=3000)
         warmed = api.simulate(summary["trace"], "aise+bmt")

@@ -1,8 +1,9 @@
 """Engine-selection telemetry: which engine ran a cell, and why.
 
 Every ``TimingSimulator.run`` is attributed to exactly one engine —
-compiled trace replay or the instrumented reference loop — with a
-fallback *reason* whenever the compiled engine was passed over. The counters are exposed through pull-model gauges
+the memoized replay (``compiled``) or a live run (``reference``: the
+live walk, then the clock) — with a fallback *reason* whenever the
+memoized replay was passed over. The counters are exposed through pull-model gauges
 bound in ``repro.obs.adapters`` (the OBS002 discipline), so fleet
 snapshots, Prometheus exposition, and progress records all read the
 same attribution.
@@ -121,7 +122,7 @@ class TestRunAttribution:
             sim.run(trace, label="aise+bmt")
         sim2 = fresh_sim()
         sim2.run(trace, label="aise+bmt")
-        sim2.run(trace, label="aise+bmt")  # warm: the reference loop
+        sim2.run(trace, label="aise+bmt")  # warm: a live run
         for t, expected in ((sim.engine_telemetry, 1), (sim2.engine_telemetry, 2)):
             assert t.compiled + t.reference == t.runs == expected
 

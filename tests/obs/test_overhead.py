@@ -72,7 +72,6 @@ class TestDisabledRunLeavesNoResidue:
         assert not obs.enabled()
         sim = TimingSimulator(config_named("aise+bmt"))
         result = sim.run(resident_trace(4000), label="aise+bmt")
-        assert sim.bus.tracer is None
         assert result.metrics == {}
         # The registry exists (pull-model, zero hot-path cost) but holds
         # no push-model residue a future enabled run could inherit.

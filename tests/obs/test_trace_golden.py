@@ -5,12 +5,17 @@ workloads and digests each cell's JSONL event stream and snapshots file
 the way ``repro trace --jsonl/--snapshots`` writes them. The digests pin
 every obs emission point of the per-miss walk, in order, and every
 interval snapshot; the per-name event counts and the ``SimResult`` make
-a mismatch name the cell and the event that moved.
+a mismatch name the cell and the event that moved. The clock oracle,
+running the section-6 rules one event at a time, writes the same bytes.
 """
 
 import importlib.util
 import json
 from pathlib import Path
+from unittest import mock
+
+from repro import fastpath
+from tests.sim import clock_oracle
 
 SCRIPT = Path(__file__).resolve().parents[2] / "benchmarks" / "trace_golden.py"
 
@@ -30,6 +35,12 @@ def test_traced_runs_match_golden():
     want = json.loads(golden.GOLDEN.read_text())
     assert golden.differences(want, got) == []
     assert golden.dumps(got) == golden.GOLDEN.read_text()
+
+
+def test_the_clock_oracle_writes_the_golden():
+    with mock.patch.object(fastpath, "execute", clock_oracle.execute):
+        got = golden.run_all()
+    assert golden.differences(json.loads(golden.GOLDEN.read_text()), got) == []
 
 
 def test_golden_exercises_every_emission_point():

@@ -23,6 +23,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim.simulator import TimingSimulator
 from repro.workloads.synthetic import WorkloadProfile, generate_trace
 from tests.conftest import TINY, make_machine
+from tests.sim import clock_oracle
 
 PAGE = 4096
 
@@ -167,6 +168,11 @@ class TestTimingSimulator:
             sims[mode] = sim
         assert sims["gate_on"].engine_telemetry.fallbacks == {"deferred_updates": 2}
         assert runs["gate_on"] == runs["gate_off"]
+        oracle_sim = TimingSimulator(config)
+        assert runs["gate_on"] == [
+            dataclasses.asdict(clock_oracle.run(oracle_sim, trace, warmup=0.3,
+                                                collect_metrics=True))
+            for trace in traces]
         # The deferral actually happened (this workload thrashes the
         # counter cache) and the queue fully drained at end of run.
         assert sims["gate_off"].tree_deferred > 0

@@ -281,6 +281,14 @@ class TestOtherOps:
         # request finds the first request's lowering memoized.
         assert second["cached"] is True
 
+    def test_precompile_of_a_deferred_tree_is_an_error_envelope(self, server):
+        with server.client() as client:
+            with pytest.raises(ServiceError, match="deferred_updates"):
+                client.precompile(workload="chase", config="aise+bmt_lazy",
+                                  events=EVENTS)
+            # The connection survives the error.
+            assert client.status()["errors"] >= 1
+
     def test_status_counts_are_coherent(self, server):
         with server.client() as client:
             status = client.status()

@@ -1,21 +1,24 @@
-"""The compiled trace replay: byte-identical to the reference loop.
+"""The replay: byte-identical to the clock oracle, memoized or live.
 
-The pre-compiler's contract is absolute equivalence: lowering a trace
-once and replaying it under the timing parameters must reproduce every
-field of the reference loop's :class:`SimResult` — cycles to the last
-bit (float arithmetic is replayed in the reference operation order, not
+Every run is a walk, then a replay through one clock: the memoized
+replay of a cold lowering (which installs its final cache contents
+afterwards), or a live run that walks the simulator's own caches. Both
+must reproduce every field of the clock oracle's :class:`SimResult`
+(``tests/sim/clock_oracle.py``: the section-6 rules one event at a time,
+each transfer timed by ``MemoryBus.request``) — cycles to the last bit
+(float arithmetic is replayed in the oracle's operation order, not
 re-associated), statistics, metrics snapshot, and the warm cache state
 left behind. These tests pin that contract across the registered scheme
 cross-product on a randomized trace, at the warmup edge cases, through
-warm reuse (where the compiled path must bow out), and under the armed
-sanitizer; plus the security half — tampering still raises with the
-fast gate forced on. The staged (set-parallel) lowering is pinned
-slot for slot against the sequential one it replaces for schemes whose
-L2 holds only demand data. The key-indexed artifact's settlement is
-pinned against a per-miss reconstruction. Differential properties cross
-the lowering and the deferred cache install with the reference loop on
-generated traces, through a warm second run and through ``reset_cold``
-reuse.
+warm reuse (where the memoized replay bows out to a live run), and under
+the armed sanitizer; plus the security half — tampering still raises
+with the fast gate forced on. The staged (set-parallel) lowering is
+pinned slot for slot against the sequential one it replaces for schemes
+whose L2 holds only demand data. The key-indexed artifact's settlement
+is pinned against a per-miss reconstruction. Differential properties,
+one per registry pair, cross both paths with the oracle on generated
+traces: a warm second run, ``reset_cold`` reuse, an armed sanitizer,
+and a traced run whose events and samples must be the oracle's.
 """
 
 import dataclasses
@@ -38,6 +41,7 @@ from repro.sim.trace import Trace
 from repro.workloads.spec2k import spec_trace
 from repro.workloads.synthetic import WorkloadProfile, generate_trace
 from tests.conftest import make_machine
+from tests.sim import clock_oracle
 
 KB = 1024
 MB = 1024 * 1024
@@ -70,10 +74,8 @@ def _sanitizer_disarmed():
         sanitizer.disarm()
 
 
-def run_reference(config: MachineConfig, trace, **kw):
-    sim = TimingSimulator(config)
-    with fastpath.forced(False):
-        return sim.run(trace, **kw)
+def run_oracle(config: MachineConfig, trace, **kw):
+    return clock_oracle.run(TimingSimulator(config), trace, **kw)
 
 
 def run_compiled(config: MachineConfig, trace, **kw):
@@ -91,8 +93,8 @@ class TestSchemeCrossProduct:
         """The property test of the equivalence claim.
 
         Every (encryption, integrity) combination the registries accept,
-        on a seeded randomized trace, with metrics collected — compiled
-        replay and reference loop must agree on every field.
+        on a seeded randomized trace, with metrics collected — the
+        replay and the clock oracle must agree on every field.
         """
         trace = random_trace()
         combos = 0
@@ -103,8 +105,8 @@ class TestSchemeCrossProduct:
                 except ConfigurationError:
                     continue  # e.g. bonsai without counter storage
                 try:
-                    ref = run_reference(config, trace, warmup=0.3,
-                                        collect_metrics=True)
+                    ref = run_oracle(config, trace, warmup=0.3,
+                                     collect_metrics=True)
                 except ConfigurationError:
                     continue
                 comp = run_compiled(config, trace, warmup=0.3,
@@ -116,14 +118,12 @@ class TestSchemeCrossProduct:
     @pytest.mark.parametrize("preset", preset_names(full=True))
     def test_presets_match_the_per_event_engine_too(self, preset):
         """Every preset, twice on one machine with the gate on: the warm
-        second run falls back to the reference loop (warm caches, or
-        deferred updates from the start) and must equal the gate-off
-        reference loop's warm second run."""
+        second run is a live run (warm caches, or deferred updates from
+        the start) and must equal the clock oracle's warm second run."""
         trace = random_trace(seed=7)
         config = MachineConfig.preset(preset)
         ref_sim = TimingSimulator(config)
-        with fastpath.forced(False):
-            ref = [as_fields(ref_sim.run(trace)) for _ in range(2)]
+        ref = [as_fields(clock_oracle.run(ref_sim, trace)) for _ in range(2)]
         sim = TimingSimulator(config)
         with fastpath.forced(True):
             fast = [as_fields(sim.run(trace)) for _ in range(2)]
@@ -138,22 +138,24 @@ class TestEdges:
     def test_warmup_edges(self, warmup):
         trace = random_trace(events=1500, seed=3)
         config = MachineConfig.preset("aise+bmt")
-        ref = run_reference(config, trace, warmup=warmup)
+        ref = run_oracle(config, trace, warmup=warmup)
         comp = run_compiled(config, trace, warmup=warmup)
         assert as_fields(comp) == as_fields(ref)
+        with fastpath.forced(False):
+            live = TimingSimulator(config).run(trace, warmup=warmup)
+        assert as_fields(live) == as_fields(ref)
 
     def test_warm_reuse_falls_back_and_still_matches(self):
         """Run twice on one simulator: the second run sees warm caches.
 
-        The compiled replay only engages on cold caches (it installs the
-        recorded final contents afterwards), so run two must fall back to
-        the reference loop — and both runs must equal the gate-off runs.
+        The memoized replay only engages on cold caches (it installs the
+        recorded final contents afterwards), so run two must be a live
+        run — and both runs must equal the clock oracle's.
         """
         trace = random_trace(events=2000, seed=11)
         config = MachineConfig.preset("aise+bmt")
         ref_sim = TimingSimulator(config)
-        with fastpath.forced(False):
-            ref1, ref2 = ref_sim.run(trace), ref_sim.run(trace)
+        ref1, ref2 = (clock_oracle.run(ref_sim, trace) for _ in range(2))
         comp_sim = TimingSimulator(config)
         with fastpath.forced(True):
             comp1, comp2 = comp_sim.run(trace), comp_sim.run(trace)
@@ -169,7 +171,7 @@ class TestEdges:
         telemetry = sim.engine_telemetry
         assert (telemetry.last_engine, telemetry.last_reason) == (
             fastpath.ENGINE_REFERENCE, "sanitizer_armed")
-        # ... and the reference loop's result matches the unarmed one.
+        # ... and the live run's result matches the unarmed one.
         assert as_fields(armed) == as_fields(run_compiled(config, trace))
 
     def test_lowering_is_shared_across_timing_parameters(self):
@@ -181,7 +183,7 @@ class TestEdges:
         run_compiled(fast_mem, trace)
         assert len(trace.__dict__["_compiled"]) == 1
         assert as_fields(run_compiled(fast_mem, trace)) == as_fields(
-            run_reference(fast_mem, trace))
+            run_oracle(fast_mem, trace))
 
     def test_pickled_traces_drop_the_lowering(self):
         trace = random_trace(events=600, seed=17)
@@ -370,14 +372,15 @@ class TestKeyIndexedArtifact:
         full_dur, frac_dur = durations
         for artifact in lowered_both_ways(trace):
             warm = data.draw(st.integers(0, artifact.misses))
-            meta, kinds, busy = artifact.settle(warm, full_dur, frac_dur)
+            meta, kinds, busy = artifact.settle(warm, artifact.misses,
+                                                full_dur, frac_dur)
             measured = artifact.key_idx[warm:]
             expected_meta = artifact.key_metas[measured].sum(axis=0)
             expected_kinds = artifact.key_kcounts[measured].sum(axis=0)
             assert meta.dtype == kinds.dtype == np.int64
             assert np.array_equal(meta, expected_meta)
             assert np.array_equal(kinds, expected_kinds)
-            durs = np.asarray(artifact._durations(full_dur, frac_dur))
+            durs = np.asarray(compiled._durations(full_dur, frac_dur))
             assert busy == int((artifact.key_kcounts[measured] @ durs).sum())
 
     @settings(max_examples=20, deadline=None)
@@ -386,7 +389,7 @@ class TestKeyIndexedArtifact:
         for artifact in lowered_both_ways(trace):
             prog = artifact.prog(8, 1)
             assert len(prog) == artifact.misses
-            durs = artifact._durations(8, 1)
+            durs = compiled._durations(8, 1)
             first: dict = {}
             for entry, key in zip(prog, artifact.key_idx.tolist()):
                 assert entry is first.setdefault(key, entry)
@@ -412,10 +415,11 @@ class TestKeyIndexedArtifact:
                     if len(getattr(artifact, slot)) == m] == ["key_idx"]
 
 
-# -- the differential property ------------------------------------------------
+# -- the differential properties ----------------------------------------------
 
-# Tier-1 runs a small example budget; CI's soak step loads the ``soak``
-# profile (tests/conftest.py) and this property then takes its budget.
+# Tier-1 runs a small example budget per registry pair; CI's soak step
+# loads the ``soak`` profile (tests/conftest.py) and each pair then takes
+# its budget.
 _DIFFERENTIAL = (settings() if settings.get_current_profile_name() == "soak"
                  else settings(max_examples=12, deadline=None))
 
@@ -426,99 +430,152 @@ _CACHES = {
 }
 
 
-def registry_configs(caches: str, cached_macs: bool):
-    """Every registry-valid pair under one cache shape, with a
-    simulator built from it."""
-    overrides = dict(_CACHES[caches])
-    if cached_macs:
-        overrides["cache_data_macs"] = True
+def registry_pairs() -> list:
+    """Every (encryption, integrity) pair the registries accept and a
+    timing simulator can lay out, ``aise+bmt_lazy`` among them."""
+    pairs = []
     for enc in schemes.encryption_keys():
         for integ in schemes.integrity_keys():
             try:
-                config = MachineConfig(encryption=enc, integrity=integ,
-                                       **overrides)
-                sim = TimingSimulator(config)
+                TimingSimulator(MachineConfig(encryption=enc, integrity=integ))
             except ConfigurationError:
                 continue
-            yield config, sim
+            pairs.append((enc, integ))
+    return pairs
 
 
-def sequential_configs(caches: str, cached_macs: bool):
-    """Every registry-valid pair whose L2 holds metadata or that has a
-    node cache, under one cache shape."""
-    for config, sim in registry_configs(caches, cached_macs):
-        if not compiled.l2_holds_only_data(sim) or sim.node_cache is not None:
-            yield config
+REGISTRY_PAIRS = registry_pairs()
+# One property per pair, so a failing example shrinks within its pair.
+each_pair = pytest.mark.parametrize("pair", REGISTRY_PAIRS, ids="+".join)
+
+
+def pair_config(pair, caches: str, cached_macs: bool) -> MachineConfig:
+    """``pair`` under one cache shape, its data MACs cached or not."""
+    overrides = dict(_CACHES[caches])
+    if cached_macs:
+        overrides["cache_data_macs"] = True
+    return MachineConfig(encryption=pair[0], integrity=pair[1], **overrides)
+
+
+def traced(sim, trace, run, interval: int):
+    """``run(sim, trace)`` in an obs session: the result, the JSON Lines
+    event stream, the interval samples and the phases."""
+    import io
+
+    from repro import obs
+    from repro.obs.tracer import EventTracer, JsonlSink
+
+    stream = io.StringIO()
+    with obs.observed(tracer=EventTracer(JsonlSink(stream)),
+                      interval=interval) as session:
+        result = run(sim, trace)
+    return (as_fields(result), stream.getvalue(), session.samples,
+            session.profiler.snapshot())
+
+
+def test_every_registry_pair_is_covered():
+    assert len(REGISTRY_PAIRS) >= 30  # the registries really were crossed
+    assert ("aise", "bmt_lazy") in REGISTRY_PAIRS
 
 
 class TestDifferential:
+    @each_pair
     @_DIFFERENTIAL
     @given(trace=small_traces(), caches=st.sampled_from(sorted(_CACHES)),
            cached_macs=st.booleans(), warmup=st.sampled_from([0.0, 0.3]))
-    def test_compiled_equals_reference_twice(self, trace, caches, cached_macs,
-                                             warmup):
-        """Compiled replay vs the reference loop, then a second run.
+    def test_both_paths_equal_the_oracle_twice(self, pair, trace, caches,
+                                               cached_macs, warmup):
+        """The memoized replay and a live run against the clock oracle,
+        then a warm second run on the same machines.
 
-        The first run lowers (sequentially for these schemes) and leaves
-        the recorded final contents as a pending install; the second
-        run on the same machines sees warm caches, so the reference
-        loop builds that install on its first cache read — and must
-        still match the gate-off reference loop's warm second run.
+        With the gate on, the first run replays a cold lowering (a
+        deferred tree's is live) and leaves the recorded final contents
+        as a pending install; the second run sees warm caches, so it is
+        a live run whose walk builds that install on its first cache
+        read. With the gate off both runs are live.
         """
-        checked = 0
-        for config in sequential_configs(caches, cached_macs):
-            ref_sim = TimingSimulator(config)
-            comp_sim = TimingSimulator(config)
-            with fastpath.forced(False):
-                ref = [ref_sim.run(trace, warmup=warmup, collect_metrics=True)
-                       for _ in range(2)]
-            with fastpath.forced(True):
-                comp = [comp_sim.run(trace, warmup=warmup, collect_metrics=True)
-                        for _ in range(2)]
-            assert as_fields(comp[0]) == as_fields(ref[0]), config
-            assert as_fields(comp[1]) == as_fields(ref[1]), config
-            checked += 1
-        assert checked >= 20
+        config = pair_config(pair, caches, cached_macs)
+        oracle_sim = TimingSimulator(config)
+        sims = {gate: TimingSimulator(config) for gate in (True, False)}
+        for _ in range(2):
+            want = as_fields(clock_oracle.run(oracle_sim, trace, warmup=warmup,
+                                              collect_metrics=True))
+            for gate, sim in sims.items():
+                with fastpath.forced(gate):
+                    got = sim.run(trace, warmup=warmup, collect_metrics=True)
+                assert as_fields(got) == want, gate
 
+    @each_pair
     @_DIFFERENTIAL
     @given(trace=small_traces(), caches=st.sampled_from(sorted(_CACHES)),
            cached_macs=st.booleans(), first=st.sampled_from([0.0, 0.3]),
            second=st.sampled_from([0.0, 0.5, 1.0]),
            overlap=st.sampled_from([0.25, 1.0]))
     def test_reset_cold_replays_the_memoized_binding(
-            self, trace, caches, cached_macs, first, second, overlap):
-        """Compiled, ``reset_cold()``, compiled again on one machine.
+            self, pair, trace, caches, cached_macs, first, second, overlap):
+        """Run, ``reset_cold()``, run again on one machine.
 
         The warm-pool path: the second run replays the lowering, the
         ``prog`` binding and the trace's ``pres`` memoized by the first,
-        at a new warmup and stall overlap. Each run must equal the
-        reference loop on a fresh machine. Every registry-valid pair
-        takes part, staged and sequential routes alike.
+        at a new warmup and stall overlap. Each run must equal the clock
+        oracle on a fresh machine. Staged and sequential routes alike.
         """
-        checked = 0
-        for config, comp_sim in registry_configs(caches, cached_macs):
-            with fastpath.forced(False):
-                ref = [TimingSimulator(config).run(
-                           trace, warmup=first, collect_metrics=True),
-                       TimingSimulator(config, overlap=overlap).run(
-                           trace, warmup=second, collect_metrics=True)]
-            with fastpath.forced(True):
-                comp = [comp_sim.run(trace, warmup=first,
-                                     collect_metrics=True)]
-                telemetry = comp_sim.engine_telemetry
-                hits = telemetry.lowering_hits
-                comp_sim.reset_cold()
-                comp_sim.overlap = overlap
-                comp.append(comp_sim.run(trace, warmup=second,
-                                         collect_metrics=True))
-            if telemetry.compiled:
-                # Both runs replayed; the second found the memoized lowering.
-                assert telemetry.compiled == 2
-                assert telemetry.lowering_hits == hits + 1
-            assert as_fields(comp[0]) == as_fields(ref[0]), config
-            assert as_fields(comp[1]) == as_fields(ref[1]), config
-            checked += 1
-        assert checked >= 30
+        config = pair_config(pair, caches, cached_macs)
+        ref = [clock_oracle.run(TimingSimulator(config), trace, warmup=first,
+                                collect_metrics=True),
+               clock_oracle.run(TimingSimulator(config, overlap=overlap),
+                                trace, warmup=second, collect_metrics=True)]
+        comp_sim = TimingSimulator(config)
+        with fastpath.forced(True):
+            comp = [comp_sim.run(trace, warmup=first, collect_metrics=True)]
+            telemetry = comp_sim.engine_telemetry
+            hits = telemetry.lowering_hits
+            comp_sim.reset_cold()
+            comp_sim.overlap = overlap
+            comp.append(comp_sim.run(trace, warmup=second,
+                                     collect_metrics=True))
+        if telemetry.compiled:
+            # Both runs replayed; the second found the memoized lowering.
+            assert telemetry.compiled == 2
+            assert telemetry.lowering_hits == hits + 1
+        assert as_fields(comp[0]) == as_fields(ref[0])
+        assert as_fields(comp[1]) == as_fields(ref[1])
+
+    @each_pair
+    @_DIFFERENTIAL
+    @given(trace=small_traces(), caches=st.sampled_from(sorted(_CACHES)),
+           warmup=st.sampled_from([0.0, 0.3]))
+    def test_armed_sanitizer_run_equals_the_oracle(self, pair, trace, caches,
+                                                   warmup):
+        """An armed sanitizer sends the run live, with its per-fill
+        checks in the walk; it must neither raise nor move a number."""
+        config = pair_config(pair, caches, False)
+        want = as_fields(clock_oracle.run(TimingSimulator(config), trace,
+                                          warmup=warmup, collect_metrics=True))
+        sim = TimingSimulator(config)
+        with sanitizer.sanitized(), fastpath.forced(True):
+            got = sim.run(trace, warmup=warmup, collect_metrics=True)
+        assert sim.engine_telemetry.last_engine == fastpath.ENGINE_REFERENCE
+        assert as_fields(got) == want
+
+    @each_pair
+    @_DIFFERENTIAL
+    @given(trace=small_traces(), caches=st.sampled_from(sorted(_CACHES)),
+           warmup=st.sampled_from([0.0, 0.3, 1.0]),
+           interval=st.sampled_from([1, 7, 64, 1000]))
+    def test_traced_run_emits_the_oracles_events_and_samples(
+            self, pair, trace, caches, warmup, interval):
+        """A traced run (walk and replay alternating per interval) and a
+        traced warm second run: the same result, JSON Lines bytes,
+        interval samples and phases as the oracle's."""
+        config = pair_config(pair, caches, False)
+        sim, oracle_sim = TimingSimulator(config), TimingSimulator(config)
+        for _ in range(2):
+            got = traced(sim, trace, lambda s, t: s.run(
+                t, warmup=warmup, collect_metrics=True), interval)
+            want = traced(oracle_sim, trace, lambda s, t: clock_oracle.run(
+                s, t, warmup=warmup, collect_metrics=True), interval)
+            assert got == want
 
 
 class TestSecurityPath:

@@ -1,10 +1,11 @@
-"""The reference-loop runs byte-match their committed golden.
+"""Live runs byte-match their committed golden.
 
-``benchmarks/reference_golden.py`` runs what compiled replay never
+``benchmarks/reference_golden.py`` runs what the memoized replay never
 serves: the ``aise+bmt_lazy`` cell of every figure-6 benchmark, and a
 warm second ``run()`` of every figure-6 preset on art, mcf and swim. The
-figure-6 golden pins cold sweeps, which replay compiled; this one pins
-the reference loop and the miss helpers it sends every miss through.
+figure-6 golden pins cold sweeps, which replay memoized lowerings; this
+one pins live runs: the walk of the simulator's own caches, the deferred
+queue and its trailing drain, and their replay.
 """
 
 import importlib.util

@@ -1,17 +1,19 @@
 """The timing model's traffic against a by-definition oracle.
 
-Both engines (compiled replay and the reference loop) run one per-miss
-walk, so comparing them with each other cannot catch a slip in the walk
-itself. The oracle here is the independent side: section 6's traffic
-rules written out from their definitions over
+Every run (the memoized replay, a live run, and the clock oracle of
+``tests/sim/clock_oracle.py``) walks misses with one per-miss walk, so
+comparing them with each other cannot catch a slip in the walk itself.
+The oracle here is the independent side: section 6's traffic rules
+written out from their definitions over
 :meth:`SetAssociativeCache.lookup`/``insert`` (which keep their own
 statistics) and a bus that only counts transfers, with no clock. Node
 addresses come from the functional tree's :meth:`TreeGeometry.walk`,
-scheme behaviour from the registered descriptors. The property: on
-generated traces, for every registry-valid scheme pair and cache shape,
-a cold run and a warm second run of the simulator report exactly the
-oracle's transfers per kind, cache hits, misses and writebacks, counter
-accesses and misses, deferred-tree bookkeeping and final line counts.
+scheme behaviour from the registered descriptors. The property, one per
+registry-valid scheme pair: on generated traces, under every cache
+shape, a cold run and a warm second run report exactly the oracle's
+transfers per kind, cache hits, misses and writebacks, counter accesses
+and misses, deferred-tree bookkeeping and final line counts, whichever
+of the three runs them.
 """
 
 from hypothesis import given
@@ -22,7 +24,11 @@ from repro.core.machine import plan_layout
 from repro.mem.cache import COUNTER, DATA, LINE_CLASSES, MAC, MERKLE, SetAssociativeCache
 from repro.mem.layout import BLOCK_SIZE
 from repro.schemes import encryption_scheme, integrity_scheme
-from tests.sim.test_compiled import _CACHES, _DIFFERENTIAL, registry_configs, small_traces
+from repro.sim.simulator import TimingSimulator
+from tests.sim import clock_oracle
+from tests.sim.test_compiled import (
+    _CACHES, _DIFFERENTIAL, each_pair, pair_config, small_traces,
+)
 
 
 class TrafficOracle:
@@ -198,24 +204,29 @@ class TrafficOracle:
         return snap
 
 
+def run_with(engine: str, sim, trace, warmup):
+    """One run of ``sim``: gate on, gate off, or the clock oracle."""
+    if engine == "oracle":
+        return clock_oracle.run(sim, trace, warmup=warmup, collect_metrics=True)
+    with fastpath.forced(engine == "on"):
+        return sim.run(trace, warmup=warmup, collect_metrics=True)
+
+
 class TestTrafficOracle:
+    @each_pair
     @_DIFFERENTIAL
     @given(trace=small_traces(), caches=st.sampled_from(sorted(_CACHES)),
            cached_macs=st.booleans(), warmup=st.sampled_from([0.0, 0.3, 1.0]),
-           gate=st.booleans())
-    def test_simulator_traffic_is_the_oracles(self, trace, caches, cached_macs,
-                                               warmup, gate):
+           engine=st.sampled_from(["on", "off", "oracle"]))
+    def test_simulator_traffic_is_the_oracles(self, pair, trace, caches,
+                                               cached_macs, warmup, engine):
         """A cold run, then a warm second run on the same machines."""
-        checked = 0
-        for config, sim in registry_configs(caches, cached_macs):
-            oracle = TrafficOracle(config, sim)
-            for _ in range(2):
-                with fastpath.forced(gate):
-                    metrics = sim.run(trace, warmup=warmup,
-                                      collect_metrics=True).metrics
-                oracle.run(trace, warmup)
-                want = oracle.snapshot()
-                got = {name: metrics[name] for name in want}
-                assert got == want, config
-            checked += 1
-        assert checked >= 30
+        config = pair_config(pair, caches, cached_macs)
+        sim = TimingSimulator(config)
+        oracle = TrafficOracle(config, sim)
+        for _ in range(2):
+            metrics = run_with(engine, sim, trace, warmup).metrics
+            oracle.run(trace, warmup)
+            want = oracle.snapshot()
+            got = {name: metrics[name] for name in want}
+            assert got == want
