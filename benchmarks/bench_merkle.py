@@ -34,13 +34,13 @@ Run:  PYTHONPATH=src python benchmarks/bench_merkle.py [--ops N]
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import random
 import sys
 import time
 
+import ledger
 from repro.crypto.mac import Blake2Mac
 from repro.integrity.geometry import TreeGeometry
 from repro.integrity.merkle import MerkleTree
@@ -163,31 +163,17 @@ def run_benchmark(matched_bytes: int, sparse_bytes: int, ops: int) -> dict:
     return report
 
 
+# The committed ratios --check guards.
+GUARDED = (
+    ("matched", "update_speedup"),
+    ("matched", "build_speedup"),
+    ("sparse_gb", "scale_ratio"),
+)
+
+
 def check_regression(current: dict, baseline: dict, tolerance: float) -> list[str]:
     """Committed ratios that fell more than ``tolerance`` below baseline."""
-    failures = []
-    checks = (
-        ("matched/update_speedup",
-         lambda r: r["matched"]["update_speedup"]),
-        ("matched/build_speedup",
-         lambda r: r["matched"]["build_speedup"]),
-        ("sparse_gb/scale_ratio",
-         lambda r: r["sparse_gb"]["scale_ratio"]),
-    )
-    for name, get in checks:
-        try:
-            committed = get(baseline)
-        except KeyError:
-            failures.append(f"{name}: missing from baseline")
-            continue
-        now = get(current)
-        floor = committed * (1.0 - tolerance)
-        if now < floor:
-            failures.append(
-                f"{name}: {now:.2f} < {floor:.2f} "
-                f"({committed:.2f} committed, -{tolerance:.0%} tolerance)"
-            )
-    return failures
+    return ledger.regressions(current, baseline, GUARDED, tolerance)
 
 
 def main(argv=None) -> int:
@@ -198,14 +184,7 @@ def main(argv=None) -> int:
                         help="incremental-only covered range in GB (default: 4)")
     parser.add_argument("--ops", type=int, default=4000,
                         help="sparse-touch operations per section")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help="report path (default: BENCH_merkle.json)")
-    parser.add_argument("--check", action="store_true",
-                        help="compare ratios against --baseline; exit 1 on regression")
-    parser.add_argument("--baseline", default=DEFAULT_OUT,
-                        help="committed report to --check against")
-    parser.add_argument("--tolerance", type=float, default=0.40,
-                        help="allowed ratio regression for --check")
+    ledger.add_arguments(parser, DEFAULT_OUT, tolerance=0.40)
     args = parser.parse_args(argv)
 
     report = run_benchmark(args.matched_mb * MB, args.sparse_gb * GB, args.ops)
@@ -223,24 +202,7 @@ def main(argv=None) -> int:
           f"materialized {sparse['materialized_fraction']:.2e}   "
           f"scale ratio {sparse['scale_ratio']:.2f}")
 
-    # Never clobber the baseline with a smoke run's numbers.
-    if not (args.check and os.path.abspath(args.out) == os.path.abspath(args.baseline)):
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"report written to {args.out}")
-
-    if args.check:
-        with open(args.baseline) as f:
-            baseline = json.load(f)
-        failures = check_regression(report, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"no ratio regression beyond {args.tolerance:.0%} vs {args.baseline}")
-    return 0
-
+    return ledger.finish(report, args, check_regression)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -31,7 +31,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_service.py [--events N]
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import statistics
@@ -39,6 +38,7 @@ import subprocess
 import sys
 import time
 
+import ledger
 from repro.api import schema
 from repro.service import serve_background
 
@@ -126,25 +126,19 @@ def run_benchmark(events: int, repeats: int) -> dict:
     }
 
 
+# The committed ratios --check guards; each must also clear the floor.
+GUARDED = ("cold_process_over_warm", "cold_process_over_lru")
+
+
 def check_regression(current: dict, baseline: dict, tolerance: float) -> list[str]:
     """Ratios below the acceptance floor or the committed baseline."""
-    failures = []
-    for name in ("cold_process_over_warm", "cold_process_over_lru"):
-        now = current["ratios"][name]
-        if now < ACCEPTANCE_FLOOR:
-            failures.append(
-                f"{name}: {now:.1f}x is below the {ACCEPTANCE_FLOOR:.0f}x "
-                "acceptance floor")
-        committed = baseline.get("ratios", {}).get(name)
-        if committed is None:
-            failures.append(f"{name}: missing from baseline")
-            continue
-        floor = committed * (1.0 - tolerance)
-        if now < floor:
-            failures.append(
-                f"{name}: {now:.1f}x < {floor:.1f}x "
-                f"({committed:.1f}x committed, -{tolerance:.0%} tolerance)")
-    return failures
+    failures = [
+        f"{name}: {current['ratios'][name]:.1f}x is below the "
+        f"{ACCEPTANCE_FLOOR:.0f}x acceptance floor"
+        for name in GUARDED if current["ratios"][name] < ACCEPTANCE_FLOOR
+    ]
+    paths = [("ratios", name) for name in GUARDED]
+    return failures + ledger.regressions(current, baseline, paths, tolerance)
 
 
 def main(argv=None) -> int:
@@ -153,17 +147,8 @@ def main(argv=None) -> int:
                         help="trace length per request (default: 4000)")
     parser.add_argument("--repeats", type=int, default=6,
                         help="requests per tier (median is kept)")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help="report path (default: BENCH_service.json)")
-    parser.add_argument("--check", action="store_true",
-                        help="also compare ratios against --baseline; "
-                             "exit 1 on regression or below the 5x floor")
-    parser.add_argument("--baseline", default=DEFAULT_OUT,
-                        help="committed report to --check against "
-                             "(default: BENCH_service.json)")
-    parser.add_argument("--tolerance", type=float, default=0.50,
-                        help="allowed ratio regression for --check "
-                             "(subprocess timing is noisy; default 50%%)")
+    # Subprocess timing is noisy, hence the wide default tolerance.
+    ledger.add_arguments(parser, DEFAULT_OUT, tolerance=0.50)
     args = parser.parse_args(argv)
 
     report = run_benchmark(args.events, args.repeats)
@@ -172,28 +157,7 @@ def main(argv=None) -> int:
     for name, ratio in report["ratios"].items():
         print(f"{name:22} {ratio:.1f}x")
 
-    # Never clobber the baseline with a smoke run's numbers.
-    if not (args.check and os.path.abspath(args.out) == os.path.abspath(args.baseline)):
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"report written to {args.out}")
-
-    if args.check:
-        try:
-            with open(args.baseline) as f:
-                baseline = json.load(f)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline {args.baseline}: {exc}")
-            return 1
-        failures = check_regression(report, baseline, args.tolerance)
-        for failure in failures:
-            print(f"REGRESSION: {failure}")
-        if failures:
-            return 1
-        print(f"check passed against {args.baseline}")
-    return 0
-
+    return ledger.finish(report, args, check_regression)
 
 if __name__ == "__main__":
     sys.exit(main())

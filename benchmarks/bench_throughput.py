@@ -30,12 +30,12 @@ Run:  PYTHONPATH=src python benchmarks/bench_throughput.py [--events N]
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import sys
 import time
 
+import ledger
 from repro import fastpath
 from repro.api import TimingSimulator, build_machine, load_trace
 
@@ -142,21 +142,9 @@ def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
 
 def check_regression(current: dict, baseline: dict, tolerance: float) -> list[str]:
     """Speedup ratios that fell more than ``tolerance`` below the baseline."""
-    failures = []
-    for section in SECTIONS:
-        for preset, cell in baseline.get(section, {}).items():
-            now = current.get(section, {}).get(preset)
-            if now is None:
-                failures.append(f"{section}/{preset}: missing from current run")
-                continue
-            floor = cell["speedup"] * (1.0 - tolerance)
-            if now["speedup"] < floor:
-                failures.append(
-                    f"{section}/{preset}: speedup {now['speedup']:.2f}x < "
-                    f"{floor:.2f}x ({cell['speedup']:.2f}x committed, "
-                    f"-{tolerance:.0%} tolerance)"
-                )
-    return failures
+    paths = [(section, preset, "speedup")
+             for section in SECTIONS for preset in baseline.get(section, {})]
+    return ledger.regressions(current, baseline, paths, tolerance)
 
 
 def main(argv=None) -> int:
@@ -169,16 +157,7 @@ def main(argv=None) -> int:
                         help="functional-path passes over the working set")
     parser.add_argument("--repeats", type=int, default=2,
                         help="timed runs per preset and mode (best is kept)")
-    parser.add_argument("--out", default=DEFAULT_OUT,
-                        help="report path (default: BENCH_throughput.json)")
-    parser.add_argument("--check", action="store_true",
-                        help="also compare speedups against --baseline; "
-                             "exit 1 on regression")
-    parser.add_argument("--baseline", default=DEFAULT_OUT,
-                        help="committed report to --check against "
-                             "(default: BENCH_throughput.json)")
-    parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed speedup regression for --check")
+    ledger.add_arguments(parser, DEFAULT_OUT, tolerance=0.20)
     args = parser.parse_args(argv)
 
     report = run_benchmark(args.events, args.pages, args.rounds, args.repeats)
@@ -191,25 +170,7 @@ def main(argv=None) -> int:
                   f"fast {top:>12,.0f}/s   "
                   f"{cell['speedup']:.2f}x")
 
-    # Never clobber the baseline with a smoke run's numbers.
-    if not (args.check and os.path.abspath(args.out) == os.path.abspath(args.baseline)):
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"report written to {args.out}")
-
-    if args.check:
-        with open(args.baseline) as f:
-            baseline = json.load(f)
-        failures = check_regression(report, baseline, args.tolerance)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"no speedup regression beyond {args.tolerance:.0%} "
-              f"vs {args.baseline}")
-    return 0
-
+    return ledger.finish(report, args, check_regression)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -25,11 +25,14 @@ Commands:
 * ``analyze``  — run the security-invariant linter (see docs/static-analysis.md).
 
 The simulation knobs are spelled the same everywhere: ``--events``,
-``--workers``, ``--cache-dir``, ``--metrics`` on the CLI are
-``events=``, ``workers=``, ``cache_dir=``, ``metrics=`` on the
-:mod:`repro.api` facade and in the service protocol (the API002 lint
-rule keeps them in sync). ``--json`` on simulate/sweep/trace prints the
-versioned :mod:`repro.api.schema` envelope instead of the legacy text.
+``--workers``, ``--metrics`` on the CLI are ``events=``, ``workers=``,
+``metrics=`` on the :mod:`repro.api` facade and in the service
+protocol. The request dataclasses of :mod:`repro.api.schema` are their
+one written copy: the request flags of sweep, trace, precompile and
+submit are generated from those fields, and a parity test holds the
+facade and the hand-written simulate/report flags to them. ``--json``
+on simulate/sweep/trace prints the versioned envelope instead of the
+legacy text.
 
 Global flags: ``--log-level {debug,info,warning,error}`` (or ``-v`` for
 debug) tune the stderr diagnostics every command routes through
@@ -61,6 +64,7 @@ def _cmd_sweep(args) -> int:
     import json
 
     from . import api
+    from .api import schema
     from .evalx.report import render_table
     from .evalx.tables import results_table
     from .obs import fleet as fleet_mod
@@ -78,13 +82,8 @@ def _cmd_sweep(args) -> int:
         sinks.append(fleet_mod.JsonlProgressSink(args.live_jsonl))
     try:
         run = api.sweep(
-            configs=args.configs or None,
-            benchmarks=args.benchmarks or None,
-            events=args.events,
-            mac_bits=tuple(args.mac_bits) if args.mac_bits else (None,),
-            workers=args.workers,
+            **schema.request_knobs(schema.SweepRequest, args),
             cache_dir=args.cache_dir,
-            metrics=args.metrics,
             fleet=want_fleet,
             live_sinks=sinks or None,
         )
@@ -99,8 +98,6 @@ def _cmd_sweep(args) -> int:
             f.write(text + "\n")
         log.info("%d cells written to %s", len(run.grid), args.out)
     elif args.json:
-        from .api import schema
-
         envelope = schema.sweep_envelope(run.to_payload())
         print(json.dumps(envelope.to_wire(), indent=2, sort_keys=True))
     else:
@@ -185,6 +182,7 @@ def _cmd_trace(args) -> int:
     import json
 
     from . import api
+    from .api import schema
     from .core.config import ConfigurationError
     from .obs import chrome
     from .obs.log import get_logger
@@ -192,8 +190,7 @@ def _cmd_trace(args) -> int:
     log = get_logger("cli")
     jsonl_file = open(args.jsonl, "w") if args.jsonl else None
     try:
-        run = api.trace(args.workload, args.config, events=args.events,
-                        interval=args.interval, warmup=args.warmup,
+        run = api.trace(**schema.request_knobs(schema.TraceRequest, args),
                         jsonl=jsonl_file)
     except (ValueError, ConfigurationError) as exc:
         log.error("%s", exc)
@@ -228,8 +225,6 @@ def _cmd_trace(args) -> int:
     if args.jsonl:
         log.info("%d events streamed to %s", len(run.events), args.jsonl)
     if args.json:
-        from .api import schema
-
         envelope = schema.trace_envelope(run.to_payload())
         print(json.dumps(envelope.to_wire(), indent=2, sort_keys=True))
         return 0
@@ -245,13 +240,14 @@ def _cmd_precompile(args) -> int:
     import json
 
     from . import api
+    from .api import schema
     from .core.config import ConfigurationError
     from .obs.log import get_logger
 
     log = get_logger("cli")
     try:
-        summary = api.precompile(args.workload, args.config,
-                                 events=args.events)
+        summary = api.precompile(
+            **schema.request_knobs(schema.PrecompileRequest, args))
     except (ValueError, ConfigurationError) as exc:
         log.error("%s", exc)
         return 2
@@ -261,8 +257,6 @@ def _cmd_precompile(args) -> int:
             "events": summary["events"], "misses": summary["misses"],
             "patterns": summary["patterns"], "cached": summary["cached"]}
     if args.json:
-        from .api import schema
-
         envelope = schema.ok_envelope(op="precompile", **wire)
         print(json.dumps(envelope.to_wire(), indent=2, sort_keys=True))
         return 0
@@ -312,29 +306,13 @@ def _cmd_submit(args) -> int:
     from .service.client import ServiceClient, ServiceError
 
     log = get_logger("cli")
-    mac_bits = tuple(args.mac_bits) if args.mac_bits else (None,)
-    requests = {
-        "simulate": lambda: schema.SimulateRequest(
-            workload=args.workload, config=args.config, events=args.events,
-            overlap=args.overlap, warmup=args.warmup, metrics=args.metrics),
-        "sweep": lambda: schema.SweepRequest(
-            configs=args.configs or None, benchmarks=args.benchmarks or None,
-            events=args.events, mac_bits=mac_bits, workers=args.workers,
-            metrics=args.metrics, overlap=args.overlap, warmup=args.warmup),
-        "trace": lambda: schema.TraceRequest(
-            workload=args.workload, config=args.config, events=args.events,
-            interval=args.interval, warmup=args.warmup),
-        "precompile": lambda: schema.PrecompileRequest(
-            workload=args.workload, config=args.config, events=args.events),
-        "presets": lambda: schema.PresetsRequest(full=args.full),
-        "status": lambda: schema.StatusRequest(),
-        "shutdown": lambda: schema.ShutdownRequest(),
-    }
+    cls = schema.REQUEST_TYPES[args.op]
+    request = cls(**schema.request_knobs(cls, args))
     try:
         with ServiceClient(args.host, args.port, tenant=args.tenant) as client:
             if args.subscribe:
                 client.subscribe()
-            envelope = client.request(requests[args.op]())
+            envelope = client.request(request)
             if args.op == "sweep" and args.out:
                 # Legacy bytes: the body IS SweepRun.to_payload(), so this
                 # file diffs byte-equal against `repro sweep --out`.
@@ -431,17 +409,10 @@ def _cmd_analyze(args) -> int:
     return analyze_main(args.analyzer_args)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``python -m repro``; returns a process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "analyze":
-        # Dispatch before argparse: the analyzer owns its own option
-        # parsing, and argparse.REMAINDER chokes on a leading option
-        # token (``repro analyze --list-rules``).
-        from .analysis.cli import main as analyze_main
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` argument parser (``analyze`` aside)."""
+    from .api import schema
 
-        return analyze_main(argv[1:])
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument("--log-level", default=None,
                         choices=["debug", "info", "warning", "error"],
@@ -454,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("report", help="regenerate the paper's tables and figures")
     # The paper's figures are measured at 120k events; the report command
     # keeps that fidelity default rather than the interactive knob grammar.
-    p.add_argument("--events", type=int, default=120_000)  # repro: allow(API002)
+    p.add_argument("--events", type=int, default=120_000)
     p.add_argument("--figures", nargs="*", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--data-dir", default=None)
@@ -464,29 +435,18 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("sweep", help="simulate the benchmark x configuration grid")
-    p.add_argument("--workers", type=int, default=1,
-                   help="process-pool width (1 = serial, 0 = one per core)")
+    schema.add_request_args(p, schema.SweepRequest)
     p.add_argument("--cache-dir", "--cache", dest="cache_dir", default=None,
                    metavar="DIR",
                    help="persistent result-cache directory "
                         "(e.g. benchmarks/results/cache); --cache is the "
                         "deprecated spelling")
-    p.add_argument("--events", type=int, default=60_000)
-    p.add_argument("--benchmarks", nargs="*", default=None,
-                   help="subset of benchmarks (default: all 21)")
-    p.add_argument("--configs", nargs="*", default=None,
-                   help="subset of registry configs (default: all)")
-    p.add_argument("--mac-bits", type=int, nargs="*", default=None,
-                   help="MAC-size overrides (default: each config's own)")
     p.add_argument("--out", default=None, help="write per-cell JSON here")
     p.add_argument("--json", action="store_true",
                    help="print the versioned response envelope to stdout "
                         "instead of the bare payload (ignored with --out)")
     p.add_argument("--summary", action="store_true",
                    help="also print a measured-averages table (stderr)")
-    p.add_argument("--metrics", action="store_true",
-                   help="attach per-cell metrics-registry snapshots to the "
-                        "JSON results")
     p.add_argument("--live", action="store_true",
                    help="render live sweep progress on stderr (cells done, "
                         "cells/sec, ETA, cache hit ratio)")
@@ -516,14 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("trace", help="run one workload under full observability")
-    p.add_argument("workload",
-                   help="a SPEC benchmark name, or stream/chase/resident")
-    p.add_argument("--config", default="aise+bmt",
-                   help="registry configuration label (default: aise+bmt)")
-    p.add_argument("--events", type=int, default=60_000)
-    p.add_argument("--interval", type=int, default=1024,
-                   help="measured events between metric snapshots")
-    p.add_argument("--warmup", type=float, default=0.25)
+    schema.add_request_args(p, schema.TraceRequest, positional=("workload",))
     p.add_argument("--out", default="trace.json",
                    help="Chrome trace-event JSON output (Perfetto-loadable)")
     p.add_argument("--jsonl", default=None, metavar="FILE",
@@ -538,11 +491,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("precompile",
                        help="lower a workload's trace to the compiled "
                             "fastpath program ahead of time")
-    p.add_argument("workload",
-                   help="a SPEC benchmark name, or stream/chase/resident")
-    p.add_argument("--config", default="aise+bmt",
-                   help="registry configuration label (default: aise+bmt)")
-    p.add_argument("--events", type=int, default=60_000)
+    schema.add_request_args(p, schema.PrecompileRequest,
+                            positional=("workload",))
     p.add_argument("--json", action="store_true",
                    help="print the versioned response envelope")
     p.set_defaults(func=_cmd_precompile)
@@ -569,43 +519,29 @@ def main(argv: list[str] | None = None) -> int:
                    help="max concurrent process-pool sweep jobs")
     p.set_defaults(func=_cmd_serve)
 
+    # `submit <op>`: one subparser per request type, its flags generated
+    # from the request's fields; hello and subscribe are per-connection,
+    # behind --tenant and --subscribe.
+    connection = argparse.ArgumentParser(add_help=False)
+    connection.add_argument("--host", default="127.0.0.1")
+    connection.add_argument("--port", type=int, default=8737)
+    schema.add_request_args(connection, schema.HelloRequest)
+    connection.add_argument("--subscribe", action="store_true",
+                            help="receive fleet progress events (echoed to "
+                                 "stderr as JSON lines)")
     p = sub.add_parser("submit",
                        help="submit one request to a running service")
-    p.add_argument("op", choices=["simulate", "sweep", "trace", "precompile",
-                                  "presets", "status", "shutdown"])
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8737)
-    p.add_argument("--tenant", default="anon",
-                   help="tenant name reported to the service")
-    p.add_argument("--workload", default="stream",
-                   help="(simulate/trace/precompile) workload name")
-    p.add_argument("--config", default="aise+bmt",
-                   help="(simulate/trace/precompile) configuration label")
-    p.add_argument("--configs", nargs="*", default=None,
-                   help="(sweep) subset of registry configs (default: all)")
-    p.add_argument("--benchmarks", nargs="*", default=None,
-                   help="(sweep) subset of benchmarks (default: all 21)")
-    p.add_argument("--mac-bits", type=int, nargs="*", default=None,
-                   help="(sweep) MAC-size overrides")
-    p.add_argument("--events", type=int, default=60_000)
-    p.add_argument("--workers", type=int, default=1,
-                   help="(sweep) 1 = serial, >1 or 0 = process pool, "
-                        "as in 'repro sweep', run server-side")
-    p.add_argument("--metrics", action="store_true",
-                   help="attach per-cell metrics-registry snapshots")
-    p.add_argument("--overlap", type=float, default=0.7)
-    p.add_argument("--warmup", type=float, default=0.25)
-    p.add_argument("--interval", type=int, default=1024,
-                   help="(trace) measured events between metric snapshots")
-    p.add_argument("--subscribe", action="store_true",
-                   help="receive fleet progress events (echoed to stderr "
-                        "as JSON lines)")
-    p.add_argument("--out", default=None, metavar="FILE",
-                   help="(sweep) write the bare per-cell payload here — "
-                        "byte-identical to `repro sweep --out`")
-    p.add_argument("--full", action="store_true",
-                   help="(presets) include registry-valid non-canonical "
-                        "combinations")
+    ops = p.add_subparsers(dest="op", required=True, metavar="op")
+    for op, cls in schema.REQUEST_TYPES.items():
+        if op in ("hello", "subscribe"):
+            continue
+        q = ops.add_parser(op, parents=[connection],
+                           help=f"submit a {op} request")
+        schema.add_request_args(q, cls)
+        if op == "sweep":
+            q.add_argument("--out", default=None, metavar="FILE",
+                           help="write the bare per-cell payload here — "
+                                "byte-identical to `repro sweep --out`")
     p.set_defaults(func=_cmd_submit)
 
     p = sub.add_parser("attacks", help="run the attack-detection matrix")
@@ -640,8 +576,21 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("analyzer_args", nargs=argparse.REMAINDER,
                    help="arguments forwarded to repro.analysis (see --list-rules)")
     p.set_defaults(func=_cmd_analyze)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point for ``python -m repro``; returns a process exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] == "analyze":
+        # Dispatch before argparse: the analyzer owns its own option
+        # parsing, and argparse.REMAINDER chokes on a leading option
+        # token (``repro analyze --list-rules``).
+        from .analysis.cli import main as analyze_main
+
+        return analyze_main(argv[1:])
+    args = build_parser().parse_args(argv)
     from .obs.log import configure, verbosity_to_level
 
     configure(args.log_level or verbosity_to_level(args.verbose))

@@ -45,10 +45,6 @@ API001    Example scripts (the tutorial surface) import only the
           :mod:`repro.api` facade — never ``repro.*`` internals — so the
           facade provably covers every documented workflow and internal
           modules stay free to refactor.
-API002    The simulation knobs (``events``, ``workers``, ``cache_dir``,
-          ``metrics``) are spelled and defaulted identically across the
-          :mod:`repro.api` facade functions, the service request schema,
-          and the CLI's argparse flags — one grammar, three surfaces.
 GEN001    No bare ``except:``.
 GEN002    No mutable default arguments.
 ========  ==================================================================
@@ -836,194 +832,6 @@ class FacadeOnlyImportRule(Rule):
                             "from 'repro.api' (re-export the symbol there "
                             "if it is missing)",
                         )
-
-
-# -- API002: one knob grammar across facade, schema, and CLI -----------------
-
-
-@register
-class KnobGrammarRule(Rule):
-    id = "API002"
-    severity = "error"
-    title = "simulation knobs spelled and defaulted identically everywhere"
-    rationale = (
-        "The facade (repro.api), the service request schema "
-        "(repro.api.schema), and the CLI (repro.__main__) all expose the "
-        "same simulation knobs. Holding every surface to one table — "
-        "events=60000, workers=1, cache_dir=None, metrics=False — means a "
-        "script, a service request, and a shell command that look "
-        "equivalent are equivalent; a renamed or re-defaulted knob fails "
-        "the lint instead of silently diverging between surfaces."
-    )
-
-    #: The canonical knob grammar — the single source of truth the
-    #: facade functions, request dataclasses, and argparse flags are all
-    #: checked against.
-    KNOB_DEFAULTS = {
-        "events": 60_000,
-        "workers": 1,
-        "cache_dir": None,
-        "metrics": False,
-    }
-    #: Alternate spellings that must not appear as parameters/fields.
-    BANNED_SPELLINGS = {
-        "cache": "cache_dir",
-        "cachedir": "cache_dir",
-        "n_events": "events",
-        "num_events": "events",
-        "nevents": "events",
-        "num_workers": "workers",
-        "n_workers": "workers",
-        "collect_metrics": "metrics",
-    }
-    FACADE_OPS = ("simulate", "sweep", "trace", "precompile")
-    FLAG_KNOBS = {
-        "--events": "events",
-        "--workers": "workers",
-        "--cache-dir": "cache_dir",
-        "--cache": "cache_dir",
-        "--metrics": "metrics",
-    }
-
-    def applies(self, ctx: FileContext) -> bool:
-        return ctx.is_file("__main__.py", "api/__init__.py", "api/schema.py")
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.is_file("__main__.py"):
-            yield from self._check_cli(tree, ctx)
-        else:
-            yield from self._check_signatures(tree, ctx)
-
-    # -- facade functions and request dataclasses ----------------------------
-
-    def _check_signatures(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if ctx.is_file("api/__init__.py") and node.name in self.FACADE_OPS:
-                    yield from self._check_params(node, ctx)
-            elif isinstance(node, ast.ClassDef) and ctx.is_file("api/schema.py"):
-                yield from self._check_fields(node, ctx)
-
-    def _check_params(self, fn, ctx: FileContext) -> Iterator[Finding]:
-        args = fn.args
-        params = list(args.posonlyargs) + list(args.args)
-        defaults = [None] * (len(params) - len(args.defaults)) + list(args.defaults)
-        pairs = list(zip(params, defaults))
-        pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
-        for param, default in pairs:
-            yield from self._check_one(
-                param.arg, default, param, ctx, f"{fn.name}() parameter"
-            )
-
-    def _check_fields(self, cls: ast.ClassDef, ctx: FileContext) -> Iterator[Finding]:
-        for stmt in cls.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                yield from self._check_one(
-                    stmt.target.id, stmt.value, stmt, ctx, f"{cls.name} field"
-                )
-
-    def _check_one(self, name, default, node, ctx, where) -> Iterator[Finding]:
-        if name in self.BANNED_SPELLINGS:
-            yield self.finding(
-                ctx, node,
-                f"{where} {name!r} is a non-canonical knob spelling; "
-                f"spell it {self.BANNED_SPELLINGS[name]!r}",
-            )
-            return
-        if name not in self.KNOB_DEFAULTS or default is None:
-            return
-        want = self.KNOB_DEFAULTS[name]
-        try:
-            got = ast.literal_eval(default)
-        except ValueError:
-            return  # computed default: not this rule's business
-        if got != want:
-            yield self.finding(
-                ctx, node,
-                f"{where} {name!r} defaults to {got!r}; the knob grammar "
-                f"says {want!r} everywhere",
-            )
-
-    # -- argparse flags ------------------------------------------------------
-
-    def _check_cli(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for stmt in node.body:
-                call = self._add_argument_call(stmt)
-                if call is not None:
-                    yield from self._check_flag(call, ctx)
-
-    @staticmethod
-    def _add_argument_call(stmt: ast.stmt) -> ast.Call | None:
-        if (
-            isinstance(stmt, ast.Expr)
-            and isinstance(stmt.value, ast.Call)
-            and isinstance(stmt.value.func, ast.Attribute)
-            and stmt.value.func.attr == "add_argument"
-        ):
-            return stmt.value
-        return None
-
-    def _check_flag(self, call: ast.Call, ctx: FileContext) -> Iterator[Finding]:
-        flags = [
-            a.value for a in call.args
-            if isinstance(a, ast.Constant) and isinstance(a.value, str)
-            and a.value.startswith("--")
-        ]
-        knobs = {self.FLAG_KNOBS[f] for f in flags if f in self.FLAG_KNOBS}
-        if not knobs:
-            return
-        kw = {k.arg: k.value for k in call.keywords if k.arg is not None}
-        knob = knobs.pop()
-        if knob == "cache_dir":
-            if "--cache-dir" not in flags:
-                yield self.finding(
-                    ctx, call,
-                    "flag '--cache' is the deprecated spelling; declare "
-                    "'--cache-dir' first and keep '--cache' as its alias "
-                    "(dest='cache_dir')",
-                )
-                return
-            dest = kw.get("dest")
-            if "--cache" in flags and not (
-                isinstance(dest, ast.Constant) and dest.value == "cache_dir"
-            ):
-                yield self.finding(
-                    ctx, call,
-                    "'--cache-dir'/'--cache' aliases need an explicit "
-                    "dest='cache_dir'",
-                )
-        if knob == "metrics":
-            action = kw.get("action")
-            if not (isinstance(action, ast.Constant) and action.value == "store_true"):
-                yield self.finding(
-                    ctx, call,
-                    "'--metrics' must be a store_true flag (knob grammar: "
-                    "metrics defaults to False)",
-                )
-            return
-        default = kw.get("default")
-        want = self.KNOB_DEFAULTS[knob]
-        if default is None:
-            if want is not None:
-                yield self.finding(
-                    ctx, call,
-                    f"flag for knob {knob!r} needs an explicit "
-                    f"default={want!r} (argparse would default to None)",
-                )
-            return
-        try:
-            got = ast.literal_eval(default)
-        except ValueError:
-            return
-        if got != want:
-            yield self.finding(
-                ctx, call,
-                f"flag for knob {knob!r} defaults to {got!r}; the knob "
-                f"grammar says {want!r} everywhere",
-            )
 
 
 # -- GEN001/GEN002: general hygiene ------------------------------------------

@@ -19,8 +19,11 @@ machinery keeps pinning the same bytes.
 Requests are typed dataclasses (:class:`SimulateRequest`,
 :class:`SweepRequest`, ...) with ``to_wire``/``from_wire`` that
 round-trip exactly; the service dispatches on ``kind`` through
-:data:`REQUEST_TYPES`. Responses are built by the ``*_envelope``
-helpers so every emitter spells the same kinds.
+:data:`REQUEST_TYPES`. Their fields are the one written copy of the
+simulation knobs: each carries its CLI help, and
+:func:`add_request_args` derives the ``python -m repro`` flags from
+them. Responses are built by the ``*_envelope`` helpers so every
+emitter spells the same kinds.
 
 Readers take envelopes only (:meth:`Envelope.from_wire`); the old bare
 shapes (a sweep payload with a top-level ``cells``, a fleet report with
@@ -32,7 +35,7 @@ shapes (a sweep payload with a top-level ``cells``, a fleet report with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 # The schema generation. Bump only for an incompatible change to an
 # envelope body; additive request fields with defaults do not count.
@@ -142,12 +145,25 @@ class Request:
                 setattr(self, name, tuple(value))
 
 
+# Help text for the knobs several requests share.
+_WORKLOAD = "a SPEC benchmark name, or stream/chase/resident"
+_CONFIG = "registry configuration label"
+_EVENTS = "L2 accesses in the trace"
+_OVERLAP = "fraction of raw miss latency exposed as stall"
+_WARMUP = "leading fraction of the trace that warms the caches unmeasured"
+
+
+def _knob(default, help: str, of: type | None = None):
+    """A request field with its CLI help; ``of`` types a tuple's elements."""
+    return field(default=default, metadata={"help": help, "of": of})
+
+
 @dataclass
 class HelloRequest(Request):
     """Names the connection's tenant; first message on a connection."""
 
     kind = "hello"
-    tenant: str = "anon"
+    tenant: str = _knob("anon", "tenant name reported to the service")
 
 
 @dataclass
@@ -155,13 +171,14 @@ class SimulateRequest(Request):
     """One (workload, config) cell through the timing model."""
 
     kind = "simulate"
-    workload: str = "stream"
-    config: str = "aise+bmt"
-    events: int = 60_000
-    overlap: float = 0.7
-    warmup: float = 0.25
-    metrics: bool = False
-    label: str | None = None
+    workload: str = _knob("stream", _WORKLOAD)
+    config: str = _knob("aise+bmt", _CONFIG)
+    events: int = _knob(60_000, _EVENTS)
+    overlap: float = _knob(0.7, _OVERLAP)
+    warmup: float = _knob(0.25, _WARMUP)
+    metrics: bool = _knob(False, "attach the end-of-run metrics-registry "
+                                 "snapshot to the result")
+    label: str | None = _knob(None, "result label (default: the config's)")
 
 
 @dataclass
@@ -169,14 +186,18 @@ class SweepRequest(Request):
     """A (benchmark x configuration) grid; body mirrors :func:`repro.api.sweep`."""
 
     kind = "sweep"
-    configs: tuple | None = None
-    benchmarks: tuple | None = None
-    events: int = 60_000
-    mac_bits: tuple = (None,)
-    workers: int = 1
-    metrics: bool = False
-    overlap: float = 0.7
-    warmup: float = 0.25
+    configs: tuple | None = _knob(None, "subset of registry configs "
+                                        "(default: all)", of=str)
+    benchmarks: tuple | None = _knob(None, "subset of benchmarks "
+                                           "(default: all 21)", of=str)
+    events: int = _knob(60_000, _EVENTS)
+    mac_bits: tuple = _knob((None,), "MAC-size overrides (default: each "
+                                     "config's own)", of=int)
+    workers: int = _knob(1, "process-pool width (1 = serial, 0 = one per core)")
+    metrics: bool = _knob(False, "attach per-cell metrics-registry snapshots "
+                                 "to the results")
+    overlap: float = _knob(0.7, _OVERLAP)
+    warmup: float = _knob(0.25, _WARMUP)
 
     def __post_init__(self):
         self._as_tuple("configs", "benchmarks", "mac_bits")
@@ -187,11 +208,11 @@ class TraceRequest(Request):
     """One workload under full observability."""
 
     kind = "trace"
-    workload: str = "stream"
-    config: str = "aise+bmt"
-    events: int = 60_000
-    interval: int = 1024
-    warmup: float = 0.25
+    workload: str = _knob("stream", _WORKLOAD)
+    config: str = _knob("aise+bmt", _CONFIG)
+    events: int = _knob(60_000, _EVENTS)
+    interval: int = _knob(1024, "measured events between metric snapshots")
+    warmup: float = _knob(0.25, _WARMUP)
 
 
 @dataclass
@@ -199,9 +220,9 @@ class PrecompileRequest(Request):
     """Lower a workload's trace ahead of time (shared across sessions)."""
 
     kind = "precompile"
-    workload: str = "stream"
-    config: str = "aise+bmt"
-    events: int = 60_000
+    workload: str = _knob("stream", _WORKLOAD)
+    config: str = _knob("aise+bmt", _CONFIG)
+    events: int = _knob(60_000, _EVENTS)
 
 
 @dataclass
@@ -209,7 +230,8 @@ class PresetsRequest(Request):
     """Discover configuration labels; ``full`` includes registry-valid extras."""
 
     kind = "presets"
-    full: bool = False
+    full: bool = _knob(False, "include registry-valid non-canonical "
+                              "combinations")
 
 
 @dataclass
@@ -259,6 +281,48 @@ def request_from_wire(envelope: Envelope) -> Request:
             f"(known: {', '.join(sorted(REQUEST_TYPES))})"
         )
     return cls.from_wire(envelope)
+
+
+# -- the CLI spelling of a request --------------------------------------------
+
+
+def add_request_args(parser, cls: type, *, positional: tuple = ()) -> None:
+    """Add one argparse argument per field of request class ``cls``.
+
+    A field ``name`` becomes the flag ``--name-with-dashes`` (or, when
+    listed in ``positional``, an optional positional) defaulting to the
+    field default: a bool is a ``store_true`` switch, a tuple field
+    (metadata ``of``: its element type) takes ``nargs="*"``, anything
+    else is typed by its default. The request dataclass is thus the only
+    place a knob's name, default and type are written.
+    """
+    for spec in fields(cls):
+        kwargs = {"default": spec.default, "help": spec.metadata["help"]}
+        if isinstance(spec.default, bool):
+            kwargs["action"] = "store_true"
+        elif spec.metadata["of"] is not None:
+            kwargs.update(nargs="*", type=spec.metadata["of"])
+        else:
+            kwargs["type"] = str if spec.default is None else type(spec.default)
+            if spec.default is not None:
+                kwargs["help"] += " (default: %(default)s)"
+        if spec.name in positional:
+            parser.add_argument(spec.name, nargs="?", **kwargs)
+        else:
+            parser.add_argument("--" + spec.name.replace("_", "-"), **kwargs)
+
+
+def request_knobs(cls: type, args) -> dict:
+    """``cls``'s field values from a namespace :func:`add_request_args` filled.
+
+    A tuple flag given with no values (``--mac-bits``) means the field
+    default, as omitting it does.
+    """
+    knobs = {}
+    for spec in fields(cls):
+        value = getattr(args, spec.name)
+        knobs[spec.name] = spec.default if value == [] else value
+    return knobs
 
 
 # -- response envelopes -------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 from .. import fastpath
 from ..crypto.aes import AES
 from ..crypto.ctr_mode import CounterModeCipher
+from ..crypto.engine import PadCache
 from ..mem.dram import BlockMemory
 from ..mem.layout import (
     BLOCK_SIZE,
@@ -183,7 +184,8 @@ class AiseEncryption(EncryptionEngine):
         # function of exactly that triple (plus the fixed key), so the
         # memo collapses seed construction and four pad derivations into
         # one dict probe. Any counter bump or page re-encryption changes
-        # the key. None with the gate off.
+        # the key. Bounded like the pad cache, oldest insert evicted
+        # first, so a hit stays one probe. None with the gate off.
         self._pad_memo: dict | None = {} if fastpath.enabled() else None
         self.page_reencryptions = 0
         self.pages_initialized = 0
@@ -286,8 +288,8 @@ class AiseEncryption(EncryptionEngine):
             if pad is None:
                 seeds = self.scheme.seeds_for_block(self._seed_input(paddr, block))
                 pad = self._cipher.pad_int(seeds)
-                if len(memo) >= 65536:
-                    memo.clear()
+                if len(memo) >= PadCache.DEFAULT_CAPACITY:
+                    memo.pop(next(iter(memo)))  # evict the oldest insert
                 memo[key] = pad
             self.pads_generated += CHUNKS_PER_BLOCK
             return self._cipher.apply_pad_int(cipher, pad)

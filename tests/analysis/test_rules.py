@@ -7,8 +7,6 @@ touching real files.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import analyze_source, get_rules
 
 
@@ -315,80 +313,3 @@ class TestObs002RegistryWrites:
     def test_non_registry_receivers_are_fine(self):
         src = "socket.bind(('', 80))\nconfig.counter('x')\n"
         assert not triggers("OBS002", src, "evalx/report.py")
-
-
-class TestApi002KnobGrammar:
-    GOOD_FACADE = (
-        "def sweep(configs=None, *, events=60_000, workers=1,\n"
-        "          cache_dir=None, metrics=False):\n"
-        "    pass\n"
-    )
-
-    def test_canonical_facade_grammar_passes(self):
-        assert not triggers("API002", self.GOOD_FACADE, "api/__init__.py")
-
-    def test_flags_redefaulted_facade_knob(self):
-        src = "def sweep(*, events=120_000):\n    pass\n"
-        assert triggers("API002", src, "api/__init__.py")
-
-    def test_flags_banned_facade_spelling(self):
-        src = "def sweep(*, cache=None):\n    pass\n"
-        assert triggers("API002", src, "api/__init__.py")
-
-    @pytest.mark.parametrize("default", ["None", "False"])
-    def test_flags_collect_metrics_whatever_its_default(self, default):
-        src = f"def simulate(*, metrics=False, collect_metrics={default}):\n    pass\n"
-        assert triggers("API002", src, "api/__init__.py")
-
-    def test_non_facade_functions_are_exempt(self):
-        src = "def helper(*, events=5):\n    pass\n"
-        assert not triggers("API002", src, "api/__init__.py")
-
-    def test_other_files_are_exempt(self):
-        src = "def sweep(*, events=5, cache=None):\n    pass\n"
-        assert not triggers("API002", src, "evalx/runner.py")
-
-    def test_flags_redefaulted_schema_field(self):
-        src = "class SweepRequest:\n    events: int = 120_000\n"
-        assert triggers("API002", src, "api/schema.py")
-
-    def test_canonical_schema_fields_pass(self):
-        src = ("class SweepRequest:\n"
-               "    events: int = 60_000\n"
-               "    workers: int = 1\n"
-               "    metrics: bool = False\n")
-        assert not triggers("API002", src, "api/schema.py")
-
-    def test_flags_redefaulted_cli_flag(self):
-        src = ("def main():\n"
-               "    p.add_argument('--events', type=int, default=120_000)\n")
-        assert triggers("API002", src, "__main__.py")
-
-    def test_canonical_cli_flags_pass(self):
-        src = ("def main():\n"
-               "    p.add_argument('--events', type=int, default=60_000)\n"
-               "    p.add_argument('--workers', type=int, default=1)\n"
-               "    p.add_argument('--cache-dir', '--cache',\n"
-               "                   dest='cache_dir', default=None)\n"
-               "    p.add_argument('--metrics', action='store_true')\n")
-        assert not triggers("API002", src, "__main__.py")
-
-    def test_flags_bare_cache_flag(self):
-        src = ("def main():\n"
-               "    p.add_argument('--cache', default=None)\n")
-        assert triggers("API002", src, "__main__.py")
-
-    def test_cache_alias_needs_explicit_dest(self):
-        src = ("def main():\n"
-               "    p.add_argument('--cache-dir', '--cache', default=None)\n")
-        assert triggers("API002", src, "__main__.py")
-
-    def test_flags_non_store_true_metrics(self):
-        src = ("def main():\n"
-               "    p.add_argument('--metrics', default=False)\n")
-        assert triggers("API002", src, "__main__.py")
-
-    def test_flags_workers_without_default(self):
-        src = ("def main():\n"
-               "    p.add_argument('--workers', type=int)\n")
-        assert triggers("API002", src, "__main__.py")

@@ -5,9 +5,13 @@ exactly what the hand-built equivalent produces, because the CLI, the
 examples, and the docs all route through it (enforced by API001).
 """
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro import api
+from repro.__main__ import build_parser
 from repro.api import (
     ConfigurationError,
     MachineConfig,
@@ -17,6 +21,7 @@ from repro.api import (
     build_machine,
     load_trace,
     preset_names,
+    schema,
     simulate,
 )
 
@@ -195,29 +200,87 @@ class TestFullPresetNames:
 
 
 class TestKnobGrammar:
-    """One knob grammar across the facade (mirrors the API002 lint)."""
+    """One knob grammar: the request dataclasses of ``repro.api.schema``.
 
-    KNOB_DEFAULTS = {"events": 60_000, "workers": 1, "cache_dir": None,
-                     "metrics": False, "overlap": 0.7, "warmup": 0.25}
+    The CLI's request flags (sweep, trace, precompile, submit) are
+    generated from those fields. These tests hold every surface still
+    written by hand to them: the facade signatures, and the simulate and
+    report flags.
+    """
+
+    REQUESTS = {
+        "simulate": schema.SimulateRequest,
+        "sweep": schema.SweepRequest,
+        "trace": schema.TraceRequest,
+        "precompile": schema.PrecompileRequest,
+        "preset_names": schema.PresetsRequest,
+    }
+    # Facade keywords no request carries, with their defaults: a
+    # deployment path and in-process observers.
+    FACADE_EXTRAS = {
+        "sweep": {"cache_dir": None, "fleet": False, "live_sinks": None},
+        "trace": {"jsonl": None},
+    }
+
+    @staticmethod
+    def defaults(cls) -> dict:
+        return {f.name: f.default for f in dataclasses.fields(cls)}
 
     @pytest.mark.parametrize("fn", [api.simulate, api.sweep, api.trace,
-                                    api.precompile])
+                                    api.precompile, api.preset_names])
     def test_shared_knobs_default_identically(self, fn):
-        import inspect
-
+        knobs = self.defaults(self.REQUESTS[fn.__name__])
+        extras = dict(self.FACADE_EXTRAS.get(fn.__name__, {}))
         for name, param in inspect.signature(fn).parameters.items():
-            if name in self.KNOB_DEFAULTS:
-                assert param.default == self.KNOB_DEFAULTS[name], \
-                    f"{fn.__name__}({name}=...)"
+            where = f"{fn.__name__}({name}=...)"
+            if name in knobs:
+                want = knobs.pop(name)
+                # A required workload has no default to drift.
+                if param.default is not param.empty:
+                    assert param.default == want, where
+            else:
+                assert name in extras, \
+                    f"{where} is neither a request field nor a facade extra"
+                assert param.default == extras.pop(name), where
+        assert not knobs, f"{fn.__name__} lacks request fields {sorted(knobs)}"
+        assert not extras, f"{fn.__name__} lacks facade extras {sorted(extras)}"
 
     def test_schema_requests_share_the_grammar(self):
-        import dataclasses
+        seen = {}
+        for cls in schema.REQUEST_TYPES.values():
+            for name, default in self.defaults(cls).items():
+                assert seen.setdefault(name, default) == default, \
+                    f"{cls.__name__}.{name}"
 
-        from repro.api import schema
+    @pytest.mark.parametrize("argv", [
+        ["sweep"], ["trace"], ["precompile"],
+        *(["submit", op] for op in schema.REQUEST_TYPES
+          if op not in ("hello", "subscribe")),
+    ], ids=" ".join)
+    def test_generated_parsers_parse_to_the_request_defaults(self, argv):
+        cls = schema.REQUEST_TYPES[argv[-1]]
+        args = build_parser().parse_args(argv)
+        assert schema.request_knobs(cls, args) == self.defaults(cls)
+        if argv[0] == "submit":
+            assert args.tenant == schema.HelloRequest.tenant
 
-        for cls in (schema.SimulateRequest, schema.SweepRequest,
-                    schema.TraceRequest, schema.PrecompileRequest):
-            for field in dataclasses.fields(cls):
-                if field.name in self.KNOB_DEFAULTS:
-                    assert field.default == self.KNOB_DEFAULTS[field.name], \
-                        f"{cls.__name__}.{field.name}"
+    @pytest.mark.parametrize("command, cls, names, overrides", [
+        ("simulate", schema.SimulateRequest, ("events", "metrics"), {}),
+        # The paper's figures are measured at 120k events.
+        ("report", schema.SweepRequest, ("events", "workers"),
+         {"events": 120_000}),
+    ], ids=["simulate", "report"])
+    def test_hand_written_flags_parse_to_the_request_defaults(
+            self, command, cls, names, overrides):
+        args = build_parser().parse_args([command])
+        want = {**self.defaults(cls), **overrides}
+        for name in names:
+            assert getattr(args, name) == want[name], f"{command} --{name}"
+
+    @pytest.mark.parametrize("command", ["sweep", "report", "serve"])
+    def test_cache_dir_flag_and_alias_parse_to_the_facade(self, command):
+        parser = build_parser()
+        assert parser.parse_args([command]).cache_dir \
+            == self.FACADE_EXTRAS["sweep"]["cache_dir"]
+        for flag in ("--cache-dir", "--cache"):
+            assert parser.parse_args([command, flag, "d"]).cache_dir == "d"

@@ -141,3 +141,20 @@ class TestMachineEquivalence:
                 images[state] = [machine.memory.read_block(i * 64) for i in range(8)]
         assert reads[False] == reads[True]
         assert images[False] == images[True]
+
+    def test_decrypt_pad_memo_is_bounded(self):
+        """More distinct decrypts than the memo holds: bounded, same bytes."""
+        pages = PadCache.DEFAULT_CAPACITY // 64 + 8
+        plains = {}
+        for state in (False, True):
+            with fastpath.forced(state):
+                machine = SecureMemorySystem(
+                    MachineConfig.preset("aise", physical_bytes=pages * 4096))
+                machine.boot()
+                enc = machine.encryption
+                # Two passes: the second decrypts evicted keys again.
+                plains[state] = [enc.decrypt(paddr, bytes(range(64)))
+                                 for _ in range(2)
+                                 for paddr in range(0, pages * 4096, 64)]
+        assert len(enc._pad_memo) <= PadCache.DEFAULT_CAPACITY
+        assert plains[True] == plains[False]

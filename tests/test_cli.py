@@ -305,3 +305,43 @@ class TestServeSubmitCommands:
 
     def test_submit_against_dead_port_fails_cleanly(self):
         assert main(["submit", "status", "--port", "1"]) == 2
+
+    def test_submit_simulate_label_reaches_the_service(self, capsys):
+        import json
+
+        from repro.service import serve_background
+
+        with serve_background() as handle:
+            assert main(["submit", "simulate", "--port", str(handle.port),
+                         "--events", "2000", "--label", "L"]) == 0
+        wire = json.loads(capsys.readouterr().out)
+        assert wire["body"]["result"]["config_label"] == "L"
+
+    @pytest.mark.parametrize("argv", [
+        ["submit", "status", "--workload", "x"],
+        ["submit", "trace", "--overlap", "0.5"],
+    ], ids=" ".join)
+    def test_flag_of_another_op_is_a_usage_error(self, argv):
+        # Rejected by argparse before any connection is tried, as the
+        # service rejects a request body with an unknown knob.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+SUBMIT_OPS = ["simulate", "sweep", "trace", "precompile", "presets",
+              "status", "shutdown"]
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [
+        *([command] for command in (
+            "report", "sweep", "simulate", "trace", "metrics", "precompile",
+            "serve", "submit", "attacks", "storage", "analyze")),
+        *(["submit", op] for op in SUBMIT_OPS),
+    ], ids=" ".join)
+    def test_every_command_has_help(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
