@@ -24,15 +24,11 @@ Commands:
 * ``storage``  — print the analytic storage breakdown (Table 2 model).
 * ``analyze``  — run the security-invariant linter (see docs/static-analysis.md).
 
-The simulation knobs are spelled the same everywhere: ``--events``,
-``--workers``, ``--metrics`` on the CLI are ``events=``, ``workers=``,
-``metrics=`` on the :mod:`repro.api` facade and in the service
-protocol. The request dataclasses of :mod:`repro.api.schema` are their
-one written copy: the request flags of sweep, trace, precompile and
-submit are generated from those fields, and a parity test holds the
-facade and the hand-written simulate/report flags to them. ``--json``
-on simulate/sweep/trace prints the versioned envelope instead of the
-legacy text.
+The simulation knobs are spelled the same everywhere: ``--events`` on
+the CLI is ``events=`` on the :mod:`repro.api` facade and in the service
+protocol, because the flags of sweep/trace/precompile/submit are
+generated from the :mod:`repro.api.schema` request fields. ``--json`` on
+simulate/sweep/trace prints the versioned envelope instead of the text.
 
 Global flags: ``--log-level {debug,info,warning,error}`` (or ``-v`` for
 debug) tune the stderr diagnostics every command routes through
@@ -519,9 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max concurrent process-pool sweep jobs")
     p.set_defaults(func=_cmd_serve)
 
-    # `submit <op>`: one subparser per request type, its flags generated
-    # from the request's fields; hello and subscribe are per-connection,
-    # behind --tenant and --subscribe.
+    # `submit <op>`: one subparser per request type; hello and subscribe
+    # are per-connection, behind --tenant and --subscribe.
     connection = argparse.ArgumentParser(add_help=False)
     connection.add_argument("--host", default="127.0.0.1")
     connection.add_argument("--port", type=int, default=8737)

@@ -19,11 +19,9 @@ machinery keeps pinning the same bytes.
 Requests are typed dataclasses (:class:`SimulateRequest`,
 :class:`SweepRequest`, ...) with ``to_wire``/``from_wire`` that
 round-trip exactly; the service dispatches on ``kind`` through
-:data:`REQUEST_TYPES`. Their fields are the one written copy of the
-simulation knobs: each carries its CLI help, and
-:func:`add_request_args` derives the ``python -m repro`` flags from
-them. Responses are built by the ``*_envelope`` helpers so every
-emitter spells the same kinds.
+:data:`REQUEST_TYPES`, and :func:`add_request_args` derives the
+``python -m repro`` flags from their fields. Responses are built by
+the ``*_envelope`` helpers so every emitter spells the same kinds.
 
 Readers take envelopes only (:meth:`Envelope.from_wire`); the old bare
 shapes (a sweep payload with a top-level ``cells``, a fleet report with
@@ -176,8 +174,7 @@ class SimulateRequest(Request):
     events: int = _knob(60_000, _EVENTS)
     overlap: float = _knob(0.7, _OVERLAP)
     warmup: float = _knob(0.25, _WARMUP)
-    metrics: bool = _knob(False, "attach the end-of-run metrics-registry "
-                                 "snapshot to the result")
+    metrics: bool = _knob(False, "attach the end-of-run metrics-registry snapshot to the result")
     label: str | None = _knob(None, "result label (default: the config's)")
 
 
@@ -186,16 +183,12 @@ class SweepRequest(Request):
     """A (benchmark x configuration) grid; body mirrors :func:`repro.api.sweep`."""
 
     kind = "sweep"
-    configs: tuple | None = _knob(None, "subset of registry configs "
-                                        "(default: all)", of=str)
-    benchmarks: tuple | None = _knob(None, "subset of benchmarks "
-                                           "(default: all 21)", of=str)
+    configs: tuple | None = _knob(None, "subset of registry configs (default: all)", of=str)
+    benchmarks: tuple | None = _knob(None, "subset of benchmarks (default: all 21)", of=str)
     events: int = _knob(60_000, _EVENTS)
-    mac_bits: tuple = _knob((None,), "MAC-size overrides (default: each "
-                                     "config's own)", of=int)
+    mac_bits: tuple = _knob((None,), "MAC-size overrides (default: each config's own)", of=int)
     workers: int = _knob(1, "process-pool width (1 = serial, 0 = one per core)")
-    metrics: bool = _knob(False, "attach per-cell metrics-registry snapshots "
-                                 "to the results")
+    metrics: bool = _knob(False, "attach per-cell metrics-registry snapshots to the results")
     overlap: float = _knob(0.7, _OVERLAP)
     warmup: float = _knob(0.25, _WARMUP)
 
@@ -230,8 +223,7 @@ class PresetsRequest(Request):
     """Discover configuration labels; ``full`` includes registry-valid extras."""
 
     kind = "presets"
-    full: bool = _knob(False, "include registry-valid non-canonical "
-                              "combinations")
+    full: bool = _knob(False, "include registry-valid non-canonical combinations")
 
 
 @dataclass
@@ -289,12 +281,10 @@ def request_from_wire(envelope: Envelope) -> Request:
 def add_request_args(parser, cls: type, *, positional: tuple = ()) -> None:
     """Add one argparse argument per field of request class ``cls``.
 
-    A field ``name`` becomes the flag ``--name-with-dashes`` (or, when
-    listed in ``positional``, an optional positional) defaulting to the
-    field default: a bool is a ``store_true`` switch, a tuple field
-    (metadata ``of``: its element type) takes ``nargs="*"``, anything
-    else is typed by its default. The request dataclass is thus the only
-    place a knob's name, default and type are written.
+    Field ``name`` becomes ``--name-with-dashes`` (an optional positional
+    if listed in ``positional``) with the field default: a bool is a
+    ``store_true`` switch, a tuple field (metadata ``of``: its element
+    type) takes ``nargs="*"``, anything else is typed by its default.
     """
     for spec in fields(cls):
         kwargs = {"default": spec.default, "help": spec.metadata["help"]}
@@ -302,10 +292,11 @@ def add_request_args(parser, cls: type, *, positional: tuple = ()) -> None:
             kwargs["action"] = "store_true"
         elif spec.metadata["of"] is not None:
             kwargs.update(nargs="*", type=spec.metadata["of"])
+        elif spec.default is None:
+            kwargs["type"] = str
         else:
-            kwargs["type"] = str if spec.default is None else type(spec.default)
-            if spec.default is not None:
-                kwargs["help"] += " (default: %(default)s)"
+            kwargs["type"] = type(spec.default)
+            kwargs["help"] += " (default: %(default)s)"
         if spec.name in positional:
             parser.add_argument(spec.name, nargs="?", **kwargs)
         else:
@@ -315,8 +306,7 @@ def add_request_args(parser, cls: type, *, positional: tuple = ()) -> None:
 def request_knobs(cls: type, args) -> dict:
     """``cls``'s field values from a namespace :func:`add_request_args` filled.
 
-    A tuple flag given with no values (``--mac-bits``) means the field
-    default, as omitting it does.
+    A tuple flag given no values (``--mac-bits``) means the field default.
     """
     knobs = {}
     for spec in fields(cls):

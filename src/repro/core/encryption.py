@@ -22,6 +22,8 @@ Overflow behaviour follows the paper:
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from .. import fastpath
 from ..crypto.aes import AES
 from ..crypto.ctr_mode import CounterModeCipher
@@ -185,8 +187,9 @@ class AiseEncryption(EncryptionEngine):
         # memo collapses seed construction and four pad derivations into
         # one dict probe. Any counter bump or page re-encryption changes
         # the key. Bounded like the pad cache, oldest insert evicted
-        # first, so a hit stays one probe. None with the gate off.
-        self._pad_memo: dict | None = {} if fastpath.enabled() else None
+        # first; an OrderedDict, because a dict's next(iter()) rescans
+        # the holes its own pops leave. None with the gate off.
+        self._pad_memo: OrderedDict | None = OrderedDict() if fastpath.enabled() else None
         self.page_reencryptions = 0
         self.pages_initialized = 0
         self.pads_generated = 0
@@ -289,7 +292,7 @@ class AiseEncryption(EncryptionEngine):
                 seeds = self.scheme.seeds_for_block(self._seed_input(paddr, block))
                 pad = self._cipher.pad_int(seeds)
                 if len(memo) >= PadCache.DEFAULT_CAPACITY:
-                    memo.pop(next(iter(memo)))  # evict the oldest insert
+                    memo.popitem(last=False)
                 memo[key] = pad
             self.pads_generated += CHUNKS_PER_BLOCK
             return self._cipher.apply_pad_int(cipher, pad)

@@ -208,6 +208,9 @@ class TestKnobGrammar:
     report flags.
     """
 
+    # The documented values of the knobs every surface shares.
+    KNOB_DEFAULTS = {"events": 60_000, "workers": 1, "cache_dir": None,
+                     "metrics": False, "overlap": 0.7, "warmup": 0.25}
     REQUESTS = {
         "simulate": schema.SimulateRequest,
         "sweep": schema.SweepRequest,
@@ -233,6 +236,8 @@ class TestKnobGrammar:
         extras = dict(self.FACADE_EXTRAS.get(fn.__name__, {}))
         for name, param in inspect.signature(fn).parameters.items():
             where = f"{fn.__name__}({name}=...)"
+            if name in self.KNOB_DEFAULTS:
+                assert param.default == self.KNOB_DEFAULTS[name], where
             if name in knobs:
                 want = knobs.pop(name)
                 # A required workload has no default to drift.
@@ -251,6 +256,9 @@ class TestKnobGrammar:
             for name, default in self.defaults(cls).items():
                 assert seen.setdefault(name, default) == default, \
                     f"{cls.__name__}.{name}"
+                if name in self.KNOB_DEFAULTS:
+                    assert default == self.KNOB_DEFAULTS[name], \
+                        f"{cls.__name__}.{name}"
 
     @pytest.mark.parametrize("argv", [
         ["sweep"], ["trace"], ["precompile"],
