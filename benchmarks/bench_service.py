@@ -159,5 +159,6 @@ def main(argv=None) -> int:
 
     return ledger.finish(report, args, check_regression)
 
+
 if __name__ == "__main__":
     sys.exit(main())

@@ -22,7 +22,7 @@ Overflow behaviour follows the paper:
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import deque
 
 from .. import fastpath
 from ..crypto.aes import AES
@@ -187,9 +187,11 @@ class AiseEncryption(EncryptionEngine):
         # memo collapses seed construction and four pad derivations into
         # one dict probe. Any counter bump or page re-encryption changes
         # the key. Bounded like the pad cache, oldest insert evicted
-        # first; an OrderedDict, because a dict's next(iter()) rescans
-        # the holes its own pops leave. None with the gate off.
-        self._pad_memo: OrderedDict | None = OrderedDict() if fastpath.enabled() else None
+        # first: _pad_order queues the keys, since a dict's
+        # next(iter()) rescans the holes its own pops leave. None with
+        # the gate off.
+        self._pad_memo: dict | None = {} if fastpath.enabled() else None
+        self._pad_order: deque = deque()
         self.page_reencryptions = 0
         self.pages_initialized = 0
         self.pads_generated = 0
@@ -292,8 +294,9 @@ class AiseEncryption(EncryptionEngine):
                 seeds = self.scheme.seeds_for_block(self._seed_input(paddr, block))
                 pad = self._cipher.pad_int(seeds)
                 if len(memo) >= PadCache.DEFAULT_CAPACITY:
-                    memo.popitem(last=False)
+                    del memo[self._pad_order.popleft()]
                 memo[key] = pad
+                self._pad_order.append(key)
             self.pads_generated += CHUNKS_PER_BLOCK
             return self._cipher.apply_pad_int(cipher, pad)
         seeds = self.scheme.seeds_for_block(self._seed_input(paddr, block))
