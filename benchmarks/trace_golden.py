@@ -44,6 +44,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "trace-events2000.json"
 WORKLOADS = ("mcf", "conflict")
 EVENTS = 2_000
 INTERVAL = 512
+WARMUP = 0.25
 
 
 def conflict_trace():
@@ -99,12 +100,13 @@ def traced_cell(workload, name: str, config) -> dict:
 
     stream = io.StringIO()
     run = api.trace(workload, config, events=EVENTS, interval=INTERVAL,
-                    jsonl=stream)
+                    warmup=WARMUP, jsonl=stream)
     snapshots = {
         "workload": run.workload,
         "config": name,
         "events": EVENTS,
         "interval": INTERVAL,
+        "warmup": WARMUP,
         "samples": run.samples,
         "phases": run.phases,
         "result": run.result.to_dict(),

@@ -209,6 +209,7 @@ def _cmd_trace(args) -> int:
             "config": args.config,
             "events": args.events,
             "interval": args.interval,
+            "warmup": args.warmup,
             "samples": run.samples,
             "phases": run.phases,
             "result": run.result.to_dict(),
@@ -309,26 +310,33 @@ def _cmd_submit(args) -> int:
             if args.subscribe:
                 client.subscribe()
             envelope = client.request(request)
-            if args.op == "sweep" and args.out:
-                # Legacy bytes: the body IS SweepRun.to_payload(), so this
-                # file diffs byte-equal against `repro sweep --out`.
-                with open(args.out, "w") as f:
-                    f.write(json.dumps(envelope.body, indent=2,
-                                       sort_keys=True) + "\n")
-                log.info("%d cells written to %s",
-                         len(envelope.body["cells"]), args.out)
-            else:
-                print(json.dumps(envelope.to_wire(), indent=2,
-                                 sort_keys=True))
-            if args.subscribe:
-                for event in client.events:
-                    print(json.dumps(event, sort_keys=True), file=sys.stderr)
+            events = list(client.events) if args.subscribe else []
     except (ConnectionError, OSError) as exc:
         log.error("cannot reach service at %s:%d: %s",
                   args.host, args.port, exc)
         return 2
     except ServiceError as exc:
         log.error("service error: %s", exc)
+        return 1
+    # Writing the output is not connection work: its failures say so.
+    out = args.out if args.op == "sweep" else None
+    try:
+        if out:
+            # Legacy bytes: the body IS SweepRun.to_payload(), so this
+            # file diffs byte-equal against `repro sweep --out`.
+            with open(out, "w") as f:
+                f.write(json.dumps(envelope.body, indent=2,
+                                   sort_keys=True) + "\n")
+            log.info("%d cells written to %s", len(envelope.body["cells"]),
+                     out)
+        else:
+            print(json.dumps(envelope.to_wire(), indent=2, sort_keys=True))
+        for event in events:
+            print(json.dumps(event, sort_keys=True), file=sys.stderr)
+    except BrokenPipeError:
+        return 1
+    except OSError as exc:
+        log.error("cannot write %s: %s", out or "<stdout>", exc)
         return 1
     return 0
 

@@ -55,7 +55,7 @@ from itertools import islice
 import numpy as np
 
 from ..core import sanitizer
-from ..mem.cache import CODE, COUNTER, DATA, DIRTY, LINE, MAC, MERKLE
+from ..mem.cache import CODE, COUNTER, DATA, LINE, MAC, MERKLE
 from ..mem.layout import BLOCK_SIZE
 from ..obs.adapters import SimHooks
 from .walk import (
@@ -260,23 +260,26 @@ def lower_sequential(sim, trace, sample_period: int, lo: int = 0,
                      record: bool = False, drain: bool = False) -> CompiledTrace:
     """The general lowering: one pure-Python walk over events ``lo`` to ``hi``.
 
-    The L2 demand probe is inlined; each miss runs the per-miss walk, and
-    its tokens are interned as its *key*, from which :func:`_assemble`
+    It decodes the trace's columns and runs the walk's demand loop
+    (:func:`~repro.fastpath.walk.miss_walk`'s ``events``): the L2 probe,
+    then per miss the counter read, the integrity traffic and the L2
+    fill, its tokens interned as its *key*, from which :func:`_assemble`
     derives the per-key tables. Occupancy is sampled after every event
     whose number (from the start of the trace) is a multiple of
     ``sample_period``. The walk runs on model caches from empty and keeps
-    their final contents, or, ``live``, on ``sim``'s own caches (see
-    :func:`~repro.fastpath.walk.miss_walk`). ``record`` keeps, per miss,
-    its block address, write flag and record for a traced replay: its
-    tokens with the walk's emissions where they happened, and ``None`` at
-    the decrypt-exposed point. ``drain`` ends with the deferred queue's
+    their final contents, or, ``live``, on ``sim``'s own caches.
+    ``record`` keeps, per miss, its block address, write flag and record
+    for a traced replay: its tokens with the walk's emissions where they
+    happened, and ``None`` at the decrypt-exposed point. ``drain`` ends with the deferred queue's
     drain: the *tail* holds its transfer kinds, statistics and transfer
     counts, and its record comes last.
     """
     hi = len(trace) if hi is None else hi
     ev: list = []  # the current miss's key, as it is built
-    items: list = []  # the current miss's record, when recording
+    items: list | None = None  # the current miss's record, when recording
     if record:
+        items = []
+
         def push(token):
             ev.append(token)
             items.append(token)
@@ -287,69 +290,16 @@ def lower_sequential(sim, trace, sample_period: int, lo: int = 0,
         walk = miss_walk(sim, push, live=live, emit=emit)
     else:
         walk = miss_walk(sim, ev.append, live=live)
-    l2_sets = walk.l2_sets
-    l2_classes = walk.l2_classes
-    l2_num_lines = sim.l2.num_lines
-    counter_access = walk.counter_access if sim.uses_counter_cache else None
-    fill = walk.fill
-
-    n = hi - lo
-    addresses = trace.addresses[lo:hi].astype(np.int64)
-    blocks_np = addresses // BLOCK_SIZE
-    blocks = blocks_np.tolist()
-    set_index = (blocks_np % sim.l2.num_sets).tolist()
-    writes = (np.asarray(trace.ops[lo:hi]) == 1).tolist()
-    cblocks = (walk.counter_block(addresses).tolist()
-               if counter_access is not None else None)
-
-    miss_events: list = []
-    key_idx: list = []
-    key_ids: dict = {}
-    ticks: list = []
-    records: list | None = [] if record else None
-    # Split at every multiple of the sample period, after which a tick.
-    cuts = sorted({lo, hi, *range(lo - lo % sample_period + sample_period,
-                                  hi, sample_period)})
-    for start, stop in zip(cuts, cuts[1:]):
-        for i in range(start - lo, stop - lo):
-            block = blocks[i]
-            cache_set = l2_sets[set_index[i]]
-            entry = cache_set.get(block)
-            if entry is not None:
-                cache_set.move_to_end(block)
-                if writes[i] and not entry[0]:
-                    cache_set[block] = DIRTY[entry[1]]
-                continue
-            miss_events.append(i)
-            ev.clear()
-            if record:
-                items = []
-            if counter_access is not None:
-                counter_access(cblocks[i], False)
-            if record:
-                items.append(None)  # the decrypt-exposed point
-            fill(block, writes[i])
-            key = tuple(ev)
-            idx = key_ids.get(key)
-            if idx is None:
-                idx = key_ids[key] = len(key_ids)
-            key_idx.append(idx)
-            if record:
-                records.append((block * BLOCK_SIZE, writes[i], items))
-        if stop % sample_period == 0:
-            free = l2_num_lines - sum(l2_classes.values())
-            ticks.append((
-                l2_classes.get(DATA, 0) + free,
-                l2_classes.get(CODE, 0),
-                l2_classes.get(COUNTER, 0),
-                l2_classes.get(MERKLE, 0),
-                l2_classes.get(MAC, 0),
-            ))
+    miss_events, key_ids, key_idx, ticks, records = walk.events(
+        trace.addresses[lo:hi].astype(np.int64),
+        (np.asarray(trace.ops[lo:hi]) == 1).tolist(), lo, sample_period,
+        ev, items)
 
     tail = None
     if drain:
         ev.clear()
-        items = []
+        if record:
+            items.clear()
         walk.drain()
         counts = token_counts([tuple(ev)])
         tail = (tuple([kind for kind in map(_TOKEN_KIND.__getitem__, ev)
@@ -357,8 +307,9 @@ def lower_sequential(sim, trace, sample_period: int, lo: int = 0,
                 (counts @ _TOKEN_METAS[walk.tree_is_l2])[0],
                 (counts @ _TOKEN_KCOUNTS)[0])
         if record:
-            records.append((None, None, items))
+            records.append((None, None, items.copy()))
     walk.close()
+    n = hi - lo
     flags = np.zeros(n, dtype=np.int64)
     flags[miss_events] = 1
     node_cache = sim.node_cache
@@ -367,7 +318,7 @@ def lower_sequential(sim, trace, sample_period: int, lo: int = 0,
         miss_flags=flags.tolist(),
         **_assemble(list(key_ids), key_idx, walk.tree_is_l2),
         ticks=np.asarray(ticks, dtype=np.int64).reshape(len(ticks), 5),
-        final_l2=None if live else (l2_sets, l2_classes),
+        final_l2=None if live else (walk.l2_sets, walk.l2_classes),
         final_cc=None if live else (walk.cc_sets, walk.cc_classes),
         final_node=(None if live or node_cache is None
                     else (walk.tree_sets, walk.tree_classes)),

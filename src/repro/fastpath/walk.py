@@ -3,11 +3,12 @@
 The counter-cache access that hides or exposes AES latency, the Merkle
 walk that stops at the first cached node, the data MACs, the
 dirty-victim writeback chains and a deferred-update scheme's queue of
-pending walks are written here once. The lowering
-(:func:`repro.fastpath.compiled.lower_sequential`) runs :func:`miss_walk`
-off the clock on model caches, or live on the simulator's own; it counts
-no cache statistics per access, since a miss key's deltas follow from
-its tokens (settled via :func:`credit`).
+pending walks are written here once, with the demand loop that drives
+them. The lowering
+(:func:`repro.fastpath.compiled.lower_sequential`) runs that loop off
+the clock on model caches, or live on the simulator's own; it counts no
+cache statistics per access, since a miss key's deltas follow from its
+tokens (settled via :func:`credit`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..core import sanitizer
-from ..mem.cache import COUNTER, DATA, DIRTY, LINE, MAC, MERKLE
+from ..mem.cache import CODE, COUNTER, DATA, DIRTY, LINE, MAC, MERKLE
 from ..mem.layout import BLOCK_SIZE
 
 # Transfer-kind codes. Each miss's bus traffic is recorded as a tuple of
@@ -138,17 +139,35 @@ def counter_block_of(sim):
 def miss_walk(sim, push, live: bool = False, emit=None) -> SimpleNamespace:
     """The per-miss walk for ``sim``'s traffic geometry, pushing tokens.
 
-    Returns ``counter_access(block, write)`` (a miss's demand counter
-    read, or a dirty victim's counter bump), ``fill(block, write)`` (the
-    rest of a miss: integrity traffic, the L2 fill, its victim's
-    writeback), ``drain()``, ``close()``, the address functions
-    it uses (``counter_block(addr)``, on ints or arrays, and
+    Returns the demand loop ``events(addresses, writes, lo,
+    sample_period, ev, items)``, which the lowering runs, and the
+    per-miss pieces it drives: ``counter_access(block, write)`` (a miss's
+    demand counter read, or a dirty victim's counter bump),
+    ``integrity(block)`` (a demand miss's tree walk or data MAC) and
+    ``writeback(block, line_class)`` (a dirty L2 victim's chain); then
+    ``drain()``, ``close()``, the address functions it uses
+    (``counter_block(addr)``, on ints or arrays, and
     ``mac_block(block)``), and the sets and tallies it runs on. ``live``
     runs it on ``sim``'s caches (reading ``_sets`` builds a pending
     install) with the deferred queue on ``sim._pending_walks`` and,
     armed, the sanitizer's per-fill checks; otherwise it runs on fresh
     sets and walks the tree at once. ``emit(event, **fields)`` receives
     ``counter_miss`` before its fetch's token and ``merkle_fetch`` after.
+
+    ``events`` walks the events at byte ``addresses`` (an int64 array)
+    with ``writes`` (bools), the first numbered ``lo`` in its trace. It
+    probes the L2 and, per miss, clears ``ev`` (the list ``push``
+    appends to), runs the counter read, the integrity traffic and the L2
+    fill, and interns ``tuple(ev)`` as the miss's key. The common path
+    is inline: a demand counter-cache hit, a bare data MAC (used,
+    uncached, no tree over data) and the fill into the set the probe
+    found; the L2 is checked for a refill only when a counter miss or
+    integrity traffic ran. After every event whose number is a multiple
+    of ``sample_period`` it samples the L2's occupancy by class. With
+    ``items`` (the list the recording ``push`` and ``emit`` also append
+    to) it records each miss as ``(address, write, items)``, ``None``
+    marking the decrypt-exposed point. Returns ``(miss_events, key_ids,
+    key_idx, ticks, records)``.
     """
     l2 = sim.l2
     counter_cache = sim.counter_cache
@@ -304,28 +323,15 @@ def miss_walk(sim, push, live: bool = False, emit=None) -> SimpleNamespace:
         elif uses_data_macs:
             mac_traffic(vblock, True)
 
-    def fill(block, write):
-        # The demand miss after its counter read: integrity traffic, then
-        # the L2 fill.
+    def integrity(block):
+        # A demand miss's integrity traffic: the tree walk over data, or
+        # the data MAC. Marks the miss when it fetched metadata.
         if tree_covers_data:
             if tree_walk(block + leaf_of_block, False):
                 push(_T_IFETCH)
         elif uses_data_macs:
             if mac_traffic(block, False):
                 push(_T_IFETCH)
-        cache_set = l2_sets[block % l2_nsets]
-        entry = cache_set.get(block)
-        if entry is not None:
-            # Refill of a present line (a metadata insert raced the fill).
-            cache_set[block] = data_lines[entry[0] or write]
-            cache_set.move_to_end(block)
-            l2_classes[entry[1]] -= 1
-            l2_classes[DATA] = l2_classes.get(DATA, 0) + 1
-            return
-        victim = install(l2, cache_set, l2_assoc, l2_classes, block,
-                         data_lines[write])
-        if victim is not None:
-            writeback(*victim)
 
     def defer(block):
         # Queue a dirty counter block's walk instead of performing it.
@@ -350,6 +356,109 @@ def miss_walk(sim, push, live: bool = False, emit=None) -> SimpleNamespace:
             seen.add(block)
             tree_walk(block + leaf_of_block, True)
 
+    # The demand read's integrity traffic when it is a bare data MAC (used,
+    # uncached, no tree over data): two tokens and no cache access.
+    bare_macs = uses_data_macs and not cache_data_macs and not tree_covers_data
+    # Any other integrity traffic goes through ``integrity`` and may
+    # touch the L2.
+    other_integrity = tree_covers_data or (uses_data_macs and cache_data_macs)
+
+    def events(addresses, writes, lo, sample_period, ev, items=None):
+        # The demand loop (see the docstring): a miss's common path is
+        # written inline, the rest goes through the rules above.
+        blocks_np = addresses // bs
+        blocks = blocks_np.tolist()
+        set_index = (blocks_np % l2_nsets).tolist()
+        cblocks = counter_block(addresses).tolist() if uses_cc else None
+        hi = lo + len(blocks)
+        # Split at every multiple of the sample period, after which a tick.
+        cuts = sorted({lo, hi, *range(lo - lo % sample_period + sample_period,
+                                      hi, sample_period)})
+        record = items is not None
+        miss_events: list = []
+        key_idx: list = []
+        key_ids: dict = {}
+        ticks: list = []
+        records: list | None = [] if record else None
+        # The hottest closure variables, as locals.
+        push_, sets, classes, ccs = push, l2_sets, l2_classes, cc_sets
+        sanitize_insert = l2._sanitize_insert if sanitize else None
+        for start, stop in zip(cuts, cuts[1:]):
+            for i in range(start - lo, stop - lo):
+                block = blocks[i]
+                cache_set = sets[set_index[i]]
+                entry = cache_set.get(block)
+                write = writes[i]
+                if entry is not None:
+                    cache_set.move_to_end(block)
+                    if write and not entry[0]:
+                        cache_set[block] = DIRTY[entry[1]]
+                    continue
+                miss_events.append(i)
+                ev.clear()
+                if record:
+                    items.clear()
+                touched = other_integrity
+                if uses_cc:
+                    # A demand read never dirties its counter block.
+                    cblock = cblocks[i]
+                    counter_set = ccs[cblock % cc_nsets]
+                    if cblock in counter_set:
+                        counter_set.move_to_end(cblock)
+                        push_(_T_CC_HIT)
+                    else:
+                        counter_access(cblock, False)
+                        touched = True
+                if record:
+                    items.append(None)  # the decrypt-exposed point
+                if bare_macs:
+                    push_(K_MAC_FRAC)
+                    push_(_T_IFETCH)
+                elif other_integrity:
+                    integrity(block)
+                # The L2 fill. Only a counter miss or integrity traffic can
+                # have touched the L2 since the probe missed.
+                if touched and block in cache_set:
+                    # Refill of a present line (a metadata insert raced
+                    # the fill).
+                    entry = cache_set[block]
+                    cache_set[block] = data_lines[entry[0] or write]
+                    cache_set.move_to_end(block)
+                    classes[entry[1]] -= 1
+                    classes[DATA] = classes.get(DATA, 0) + 1
+                elif len(cache_set) >= l2_assoc:
+                    vblock, (vdirty, vclass) = cache_set.popitem(last=False)
+                    cache_set[block] = data_lines[write]
+                    if vclass != DATA:
+                        classes[vclass] -= 1
+                        classes[DATA] = classes.get(DATA, 0) + 1
+                    if sanitize_insert is not None:
+                        sanitize_insert(cache_set)
+                    if vdirty:
+                        writeback(vblock, vclass)
+                else:
+                    cache_set[block] = data_lines[write]
+                    classes[DATA] = classes.get(DATA, 0) + 1
+                    if sanitize_insert is not None:
+                        sanitize_insert(cache_set)
+                key = tuple(ev)
+                idx = key_ids.get(key)
+                if idx is None:
+                    idx = key_ids[key] = len(key_ids)
+                key_idx.append(idx)
+                if record:
+                    records.append((block * bs, write, items.copy()))
+            if stop % sample_period == 0:
+                free = l2.num_lines - sum(classes.values())
+                ticks.append((
+                    classes.get(DATA, 0) + free,
+                    classes.get(CODE, 0),
+                    classes.get(COUNTER, 0),
+                    classes.get(MERKLE, 0),
+                    classes.get(MAC, 0),
+                ))
+        return miss_events, key_ids, key_idx, ticks, records
+
     def close():
         # Every cycle among these closures runs through ``writeback``:
         # unbound, a finished walk is freed without the cycle collector.
@@ -357,7 +466,8 @@ def miss_walk(sim, push, live: bool = False, emit=None) -> SimpleNamespace:
         writeback = None
 
     return SimpleNamespace(
-        counter_access=counter_access, fill=fill, drain=drain, close=close,
+        counter_access=counter_access, integrity=integrity,
+        writeback=writeback, events=events, drain=drain, close=close,
         counter_block=counter_block, mac_block=mac_block,
         l2_sets=l2_sets, l2_classes=l2_classes, cc_sets=cc_sets,
         cc_classes=cc_classes, tree_sets=t_sets, tree_classes=t_classes,

@@ -11,9 +11,11 @@ per-miss walk produces it, the counter stall, serialized decryption,
 precise verification and the stall overlap written out inline, and the
 obs events, phases and interval samples emitted where they happen.
 
-The walk itself (:func:`repro.fastpath.walk.miss_walk`) is shared with
-the library; ``tests/sim/test_traffic_oracle.py`` checks it against the
-traffic rules written from their definitions.
+The per-miss rules (:func:`repro.fastpath.walk.miss_walk`'s counter
+read, integrity traffic and victim writeback) are shared with the
+library; the demand fill into the L2 is spelled here, beside the probe.
+``tests/sim/test_traffic_oracle.py`` checks the walk against the traffic
+rules written from their definitions.
 
 ``run(sim, trace, ...)`` is :meth:`TimingSimulator.run` with this loop
 in place of the engines, so its :class:`SimResult` compares field for
@@ -27,10 +29,12 @@ from unittest import mock
 import numpy as np
 
 from repro import fastpath
+from repro.core import sanitizer
 from repro.fastpath.walk import (
     _T_IFETCH, _TOKEN_KIND, _TOKEN_METAS, K_COUNTER, K_MAC_FRAC, K_MAC_WB,
     KIND_NAMES, credit, miss_walk, token_counts,
 )
+from repro.mem.cache import DATA, LINE
 from repro.mem.layout import BLOCK_SIZE
 
 
@@ -105,6 +109,32 @@ def execute(sim, trace, warmup, sample_period, session):
         session.samples.append(snap)
 
     walk = miss_walk(sim, push, live=True, emit=emit)
+    l2_sets, l2_classes = walk.l2_sets, walk.l2_classes
+
+    def fill(block, write):
+        # The rest of a miss: its integrity traffic, then the L2 data
+        # fill, which refills a line a metadata insert put there, or
+        # evicts the set's LRU line and writes a dirty one back.
+        walk.integrity(block)
+        cache_set = l2_sets[block % l2.num_sets]
+        entry = cache_set.get(block)
+        if entry is not None:
+            cache_set[block] = LINE[DATA][entry[0] or write]
+            cache_set.move_to_end(block)
+            l2_classes[entry[1]] -= 1
+            l2_classes[DATA] = l2_classes.get(DATA, 0) + 1
+            return
+        victim = None
+        if len(cache_set) >= l2.assoc:
+            victim, (dirty, line_class) = cache_set.popitem(last=False)
+            l2_classes[line_class] -= 1
+        cache_set[block] = LINE[DATA][write]
+        l2_classes[DATA] = l2_classes.get(DATA, 0) + 1
+        if sanitizer._active is not None:
+            l2._sanitize_insert(cache_set)
+        if victim is not None and dirty:
+            walk.writeback(victim, line_class)
+
     now = 0.0
     warm_events = int(len(addresses) * warmup)
     measured_from = 0.0
@@ -147,7 +177,7 @@ def execute(sim, trace, warmup, sample_period, session):
                 sim.exposed_cycles += extra
             if extra and armed:
                 tracer[0].emit("decrypt_exposed", ts=now, addr=addr, dur=extra)
-            walk.fill(addr // BLOCK_SIZE, write)
+            fill(addr // BLOCK_SIZE, write)
             if verify_on_path:
                 # Precise verification: the hash latency always shows, plus
                 # a serialized memory round trip when metadata was fetched.

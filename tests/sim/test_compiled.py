@@ -23,6 +23,7 @@ and a traced run whose events and samples must be the oracle's.
 
 import dataclasses
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -196,6 +197,77 @@ class TestEdges:
         assert compiled.L2_STAGE_MEMO not in clone.__dict__
         assert "_pres" not in clone.__dict__
         assert clone.digest() == trace.digest()
+
+
+class TestDemandLoop:
+    """The walk's demand loop writes a miss's common path inline: the
+    counter-cache hit, a bare data MAC and the L2 fill."""
+
+    @pytest.mark.parametrize("preset", ["base", "aise+bmt"])
+    def test_armed_live_run_checks_every_l2_fill(self, preset):
+        """Armed, every L2 fill (a demand fill or a metadata insert) runs
+        the sanitizer's insert check once: once per L2 miss of the run.
+        A small L2 fills its sets, so fills evict as well."""
+        sim = TimingSimulator(MachineConfig.preset(preset, **_SMALL))
+        l2 = sim.l2
+        checked = []
+        original = type(l2)._sanitize_insert
+
+        def counting(cache, cache_set):
+            if cache is l2:
+                checked.append(len(cache_set))
+            return original(cache, cache_set)
+
+        with mock.patch.object(type(l2), "_sanitize_insert", counting), \
+                sanitizer.sanitized():
+            result = sim.run(random_trace(events=3000, seed=23), warmup=0.0)
+        assert sim.engine_telemetry.last_reason == "sanitizer_armed"
+        assert result.l2_misses > 0
+        assert len(checked) == l2.stats.misses
+        if preset == "base":
+            assert len(checked) == result.l2_misses
+
+    def test_demand_fill_of_a_block_its_counter_walk_fetched(self):
+        """A demand miss on the very tree-node block its own counter walk
+        installs in the L2 refills that line as data. No generated trace
+        reaches it (they stay far below the metadata region), so the
+        address is found by iterating the walk's level-0 fetch to a
+        fixed point."""
+        config = MachineConfig.preset("aise+bmt", **_SMALL)
+        sim = TimingSimulator(config)
+
+        def fetched(addr):
+            nodes = []
+            probe = walk.miss_walk(sim, [].append, emit=lambda event, **f: (
+                nodes.append(f["addr"]) if event == "merkle_fetch" else None))
+            probe.counter_access(probe.counter_block(addr), False)
+            probe.close()
+            return nodes
+
+        addr = sim.layout.tree_base
+        for _ in range(64):
+            nodes = fetched(addr)
+            if addr in nodes:
+                break
+            addr = nodes[0]
+        assert addr in fetched(addr), "no self-fetching tree-node block"
+        # The refilled (dirty) line, then its set's other blocks and low
+        # ones, long enough to evict it and to sample occupancy; a warm
+        # second run reads the state each path left behind.
+        block = addr // BLOCK_SIZE
+        stride = sim.l2.num_sets
+        blocks = [block] + [block + stride * (k % 6 + 1) if k % 2 else k
+                            for k in range(300)] + [block]
+        trace = make_trace(blocks, [1] + [int(k % 3 == 0)
+                                          for k in range(len(blocks) - 1)])
+        oracle_sim = TimingSimulator(config)
+        want = [as_fields(clock_oracle.run(oracle_sim, trace, warmup=0.0))
+                for _ in range(2)]
+        for gate in (True, False):
+            sim = TimingSimulator(config)
+            with fastpath.forced(gate):
+                got = [as_fields(sim.run(trace, warmup=0.0)) for _ in range(2)]
+            assert got == want, gate
 
 
 # -- the staged lowering -------------------------------------------------------

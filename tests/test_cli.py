@@ -202,6 +202,7 @@ class TestTraceCommand:
         snap = json.loads((tmp_path / "s-snap.json").read_text())
         assert snap["workload"] == "stream"
         assert snap["interval"] == 512
+        assert snap["warmup"] == 0.25  # the TraceRequest default
         assert len(snap["samples"]) >= 2
         final = snap["samples"][-1]
         assert final["sim.demand_misses"] == snap["result"]["l2_misses"]
@@ -305,6 +306,28 @@ class TestServeSubmitCommands:
 
     def test_submit_against_dead_port_fails_cleanly(self):
         assert main(["submit", "status", "--port", "1"]) == 2
+
+    def test_unwritable_out_is_an_output_failure(self, tmp_path, caplog):
+        """The service answered; only the write failed, and the log says
+        which path, not that the service was unreachable."""
+        import logging
+
+        from repro.service import serve_background
+
+        out = tmp_path / "missing" / "s.json"
+        cli_log = logging.getLogger("repro.cli")  # does not propagate
+        cli_log.addHandler(caplog.handler)
+        try:
+            with serve_background() as handle:
+                code = main(["submit", "sweep", "--port", str(handle.port),
+                             "--benchmarks", "gzip", "--configs", "base",
+                             "--events", "2000", "--out", str(out)])
+        finally:
+            cli_log.removeHandler(caplog.handler)
+        assert code == 1
+        assert f"cannot write {out}" in caplog.text
+        assert "cannot reach service" not in caplog.text
+        assert not out.exists()
 
     def test_submit_simulate_label_reaches_the_service(self, capsys):
         import json

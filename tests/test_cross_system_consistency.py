@@ -63,7 +63,7 @@ class TestSharedLayout:
                          emit=lambda event, **fields: fetches.append((event, fields)))
         block = covered_addr // BLOCK_SIZE
         if sim._tree_covers_data:
-            walk.fill(block, False)
+            walk.integrity(block)
         else:  # the tree covers counter blocks
             walk.counter_access(block, False)
         timing = [fields["addr"] for event, fields in fetches
