@@ -133,6 +133,7 @@ def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
             "events": events,
             "functional_pages": pages,
             "functional_rounds": rounds,
+            "repeats": repeats,
             "python": platform.python_version(),
             "note": "accesses/sec are machine-specific; speedup ratios "
                     "(fastpath vs in-process reference) are comparable "
@@ -175,8 +176,10 @@ def main(argv=None) -> int:
                         help="functional-path working set in pages")
     parser.add_argument("--rounds", type=int, default=40,
                         help="functional-path passes over the working set")
-    parser.add_argument("--repeats", type=int, default=2,
-                        help="timed runs per preset and mode (best is kept)")
+    parser.add_argument("--repeats", type=int, default=15,
+                        help="timed runs per preset and mode (best is kept; "
+                             "default 15, the protocol --check holds the "
+                             "ledger to)")
     ledger.add_arguments(parser, DEFAULT_OUT, tolerance=0.20)
     args = parser.parse_args(argv)
 

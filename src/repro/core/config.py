@@ -75,9 +75,6 @@ class MachineConfig:
     encryption: str = ENC_AISE
     integrity: str = INT_BMT
     mac_bits: int = 128
-    lpid_bits: int = 64
-    minor_counter_bits: int = 7
-    global_counter_bits: int = 64  # for the global-counter baselines
 
     # Integrity caching policy: standard MT caches every node incl. leaf
     # data MACs; BMT caches tree nodes but not per-block data MACs

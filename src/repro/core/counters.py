@@ -6,13 +6,12 @@ in a single 64-byte *counter block* — directly indexable from a physical
 address, cacheable in the on-chip counter cache, and swapped to disk
 alongside its page.
 
-Also implemented here:
-
-* the non-volatile :class:`GlobalPageCounter` (GPC) that issues LPIDs,
-* the split-counter baseline layout (64-bit major + 7-bit minors, [Yan
-  et al. ISCA'06]), and
-* flat per-block counter stores for the global-counter and address-based
-  baselines.
+Also implemented here: the non-volatile :class:`GlobalPageCounter` (GPC)
+that issues LPIDs, and the global-counter baseline's write counter. The
+split-counter baseline [Yan et al. ISCA'06] reuses
+:class:`PageCounterBlock`, its major counter in the LPID field; the flat
+per-block counters of the other baselines are packed by their engines'
+shared store (:class:`repro.core.encryption.FlatCounterEncryption`).
 """
 
 from __future__ import annotations
@@ -150,98 +149,6 @@ class PageCounterBlock:
             self._packed += (value - old) << (MINOR_BITS * block_in_page)
             synced[block_in_page] = value
         return wrapped
-
-
-@dataclass
-class SplitCounterBlock:
-    """Split-counter baseline: 64-bit major counter + 64 7-bit minors.
-
-    Identical layout to :class:`PageCounterBlock` with the major counter
-    where AISE puts the LPID. On minor overflow the major counter is
-    incremented and the page re-encrypted. Provided as the prior-work
-    organization AISE's storage cost is compared against (section 4.6).
-    """
-
-    major: int
-    minors: list[int]
-
-    @classmethod
-    def fresh(cls) -> "SplitCounterBlock":
-        return cls(major=0, minors=[0] * BLOCKS_PER_PAGE)
-
-    def increment(self, block_in_page: int) -> bool:
-        old = self.minors[block_in_page]
-        if sanitizer.enabled("counter_monotonicity"):
-            sanitizer.check(
-                0 <= old <= MINOR_MAX,
-                f"minor counter {old} out of {MINOR_BITS}-bit range before increment",
-            )
-        value = old + 1
-        if value > MINOR_MAX:
-            self.minors[block_in_page] = 0
-            self.major += 1
-            return True
-        self.minors[block_in_page] = value
-        return False
-
-    def to_bytes(self) -> bytes:
-        packed = 0
-        for i, minor in enumerate(self.minors):
-            packed |= minor << (MINOR_BITS * i)
-        return self.major.to_bytes(8, "big") + packed.to_bytes(_MINOR_FIELD_BYTES, "little")
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "SplitCounterBlock":
-        block = PageCounterBlock.from_bytes(raw)
-        return cls(major=block.lpid, minors=block.minors)
-
-
-class FlatCounterStore:
-    """Per-block counters of a fixed width, for the baseline schemes.
-
-    The global-counter scheme stores, with every block, the global counter
-    value it was encrypted under (8B per block for global64 — the 12.5%
-    overhead of Table 1). Address-based schemes store a per-block counter
-    incremented on each writeback.
-    """
-
-    def __init__(self, counter_bits: int):
-        if counter_bits <= 0:
-            raise ValueError("counter width must be positive")
-        self.counter_bits = counter_bits
-        self._max = (1 << counter_bits) - 1
-        self._values: dict[int, int] = {}
-        self.wraps = 0
-
-    def get(self, block_index: int) -> int:
-        return self._values.get(block_index, 0)
-
-    def set(self, block_index: int, value: int) -> None:
-        if value > self._max:
-            raise CounterOverflowError(
-                f"{self.counter_bits}-bit counter cannot hold {value}"
-            )
-        self._values[block_index] = value
-
-    def increment(self, block_index: int) -> bool:
-        """Bump a per-block counter; True if it wrapped to 0."""
-        old = self._values.get(block_index, 0)
-        if sanitizer.enabled("counter_monotonicity"):
-            sanitizer.check(
-                0 <= old <= self._max,
-                f"{self.counter_bits}-bit block counter held {old} before increment",
-            )
-        value = old + 1
-        if value > self._max:
-            self._values[block_index] = 0
-            self.wraps += 1
-            return True
-        self._values[block_index] = value
-        return False
-
-    @property
-    def bytes_per_block(self) -> float:
-        return self.counter_bits / 8
 
 
 class MonotonicGlobalCounter:

@@ -321,10 +321,14 @@ class AiseEncryption(EncryptionEngine):
         self.pads_generated += CHUNKS_PER_BLOCK
         return self._cipher.encrypt(plain, seeds), self._tag(counters.lpid, counters.minors[bip])
 
+    def _fresh_counters(self, old: PageCounterBlock) -> PageCounterBlock:
+        """The counter block a page re-encrypts under: a fresh LPID."""
+        return PageCounterBlock.fresh(self.gpc.next_lpid())
+
     def _reencrypt_page(self, page_idx: int, skip_block: int | None = None) -> None:
-        """Minor-counter overflow: fresh LPID, re-encrypt only this page."""
+        """Minor-counter overflow: fresh counter block, re-encrypt only this page."""
         old = self._load(page_idx)
-        fresh = PageCounterBlock.fresh(self.gpc.next_lpid())
+        fresh = self._fresh_counters(old)
         page_base = page_idx * PAGE_SIZE
         for bip in range(BLOCKS_PER_PAGE):
             if bip == skip_block:
@@ -371,55 +375,26 @@ class SplitCounterEncryption(AiseEncryption):
 
         self.scheme = SplitCounterSeedScheme()
 
-    def _seed_input(self, paddr: int, block: PageCounterBlock) -> SeedInput:
-        minor = block.minors[block_in_page(paddr)]
-        # lpid field carries the major counter (same 64-byte layout).
-        return SeedInput(paddr=paddr, lpid=block.lpid, counter=minor)
-
     def ensure_lpid(self, page_idx: int) -> PageCounterBlock:
         # Major counters legitimately start at 0 — no allocation-time
         # page initialization is needed (and no LPID exists to assign).
         return self._load(page_idx)
 
-    def _reencrypt_page(self, page_idx: int, skip_block: int | None = None) -> None:
-        """Minor overflow: bump the page's major counter and re-encrypt."""
-        old = self._load(page_idx)
-        fresh = PageCounterBlock(lpid=old.lpid + 1, minors=[0] * BLOCKS_PER_PAGE)
-        page_base = page_idx * PAGE_SIZE
-        for bip in range(BLOCKS_PER_PAGE):
-            if bip == skip_block:
-                continue
-            paddr = page_base + bip * BLOCK_SIZE
-            old_cipher = self.memory.read_block(paddr)
-            # Verify against the stored MAC before trusting the block's
-            # plaintext on the major-counter-bump re-encryption path.
-            self.verify_block(paddr, old_cipher, self._tag(old.lpid, old.minors[bip]))
-            plain = self._cipher.decrypt(
-                old_cipher,
-                self.scheme.seeds_for_block(
-                    SeedInput(paddr=paddr, lpid=old.lpid, counter=old.minors[bip])
-                ),
-            )
-            new_cipher = self._cipher.encrypt(
-                plain,
-                self.scheme.seeds_for_block(SeedInput(paddr=paddr, lpid=fresh.lpid, counter=0)),
-            )
-            self.pads_generated += 2 * CHUNKS_PER_BLOCK
-            self.rewrite_block(paddr, new_cipher, self._tag(fresh.lpid, 0))
-        self._store(page_idx, fresh)
-        self.page_reencryptions += 1
+    def _fresh_counters(self, old: PageCounterBlock) -> PageCounterBlock:
+        """Minor overflow bumps the page's major counter."""
+        return PageCounterBlock.fresh(old.lpid + 1)
 
 
-class GlobalCounterEncryption(EncryptionEngine):
-    """Global-counter baseline: every writeback stamps the next value.
+class FlatCounterEncryption(EncryptionEngine):
+    """Shared counter store of the flat-counter baselines.
 
-    The stamp is stored alongside the block (``bits/8`` bytes per 64B
-    block) so it can be found at decryption time — the storage overhead
-    Table 1 criticizes. Counter wrap triggers whole-memory re-encryption
-    under a fresh key.
+    One ``stamp_bytes``-wide counter per data block, packed back to back
+    in the counter region; the width is the scheme descriptor's
+    ``stamp_bytes``, handed over by its ``build_engine``. Reads verify
+    the counter block through the integrity scheme; writes
+    read-modify-write it and re-anchor its metadata.
     """
 
-    name = "global"
     uses_counters = True
 
     def __init__(
@@ -427,51 +402,70 @@ class GlobalCounterEncryption(EncryptionEngine):
         key: bytes,
         memory: BlockMemory,
         counter_base: int,
-        data_bytes: int,
-        bits: int = 64,
+        stamp_bytes: int,
         fast_crypto: bool = True,
     ):
-        self._key = bytes(key)
-        self._fast = fast_crypto
-        self._cipher = CounterModeCipher(self._key, fast=fast_crypto)
+        self._cipher = CounterModeCipher(key, fast=fast_crypto)
         self.memory = memory
         self.counter_base = counter_base
-        self.data_bytes = data_bytes
-        self.bits = bits
-        self.stamp_bytes = bits // 8
-        self.global_counter = MonotonicGlobalCounter(bits)
-        self.scheme = GlobalCounterSeedScheme(bits)
-        self.memory_reencryptions = 0
+        self.stamp_bytes = stamp_bytes
         self.pads_generated = 0
-        self._written: set[int] = set()  # block indices holding live ciphertext
+
+    def _counter_location(self, paddr: int) -> tuple[int, int]:
+        block, offset = divmod(paddr // BLOCK_SIZE * self.stamp_bytes, BLOCK_SIZE)
+        return self.counter_base + block * BLOCK_SIZE, offset
 
     def counter_block_address(self, paddr: int) -> int:
-        index = paddr // BLOCK_SIZE
-        return self.counter_base + (index * self.stamp_bytes // BLOCK_SIZE) * BLOCK_SIZE
+        return self._counter_location(paddr)[0]
 
-    def _stamp_location(self, paddr: int) -> tuple[int, int]:
-        index = paddr // BLOCK_SIZE
-        offset = index * self.stamp_bytes
-        return self.counter_base + (offset // BLOCK_SIZE) * BLOCK_SIZE, offset % BLOCK_SIZE
-
-    def _read_stamp(self, paddr: int) -> int:
-        block_addr, offset = self._stamp_location(paddr)
+    def read_counter(self, paddr: int) -> int:
+        """The block's stored counter, its counter block verified first."""
+        block_addr, offset = self._counter_location(paddr)
         raw = self.memory.read_block(block_addr)
         self.metadata_verify(block_addr, raw)
         return int.from_bytes(raw[offset : offset + self.stamp_bytes], "big")
 
-    def _write_stamp(self, paddr: int, value: int) -> None:
-        block_addr, offset = self._stamp_location(paddr)
+    def _write_counter(self, paddr: int, value: int) -> None:
+        block_addr, offset = self._counter_location(paddr)
         raw = bytearray(self.memory.read_block(block_addr))
         raw[offset : offset + self.stamp_bytes] = value.to_bytes(self.stamp_bytes, "big")
         self.memory.write_block(block_addr, bytes(raw))
         self.metadata_update(block_addr, bytes(raw))
 
     def counter_tag(self, paddr: int, ctx: AccessContext = NULL_CONTEXT) -> int:
-        return self._read_stamp(paddr)
+        return self.read_counter(paddr)
+
+
+class GlobalCounterEncryption(FlatCounterEncryption):
+    """Global-counter baseline: every writeback stamps the next value.
+
+    The stamp is stored alongside the block (``stamp_bytes`` per 64B
+    block) so it can be found at decryption time — the storage overhead
+    Table 1 criticizes. Counter wrap triggers whole-memory re-encryption
+    under a fresh key.
+    """
+
+    name = "global"
+
+    def __init__(
+        self,
+        key: bytes,
+        memory: BlockMemory,
+        counter_base: int,
+        stamp_bytes: int,
+        fast_crypto: bool = True,
+    ):
+        super().__init__(key, memory, counter_base, stamp_bytes, fast_crypto)
+        self._key = bytes(key)
+        self._fast = fast_crypto
+        bits = 8 * stamp_bytes
+        self.global_counter = MonotonicGlobalCounter(bits)
+        self.scheme = GlobalCounterSeedScheme(bits)
+        self.memory_reencryptions = 0
+        self._written: set[int] = set()  # block indices holding live ciphertext
 
     def decrypt(self, paddr, cipher, ctx=NULL_CONTEXT):
-        stamp = self._read_stamp(paddr)
+        stamp = self.read_counter(paddr)
         seeds = self.scheme.seeds_for_block(SeedInput(paddr=paddr, counter=stamp))
         self.pads_generated += CHUNKS_PER_BLOCK
         return self._cipher.decrypt(cipher, seeds)
@@ -482,7 +476,7 @@ class GlobalCounterEncryption(EncryptionEngine):
         if self.global_counter.wraps != before:
             self._reencrypt_everything()
             stamp = self.global_counter.next_value()
-        self._write_stamp(paddr, stamp)
+        self._write_counter(paddr, stamp)
         self._written.add(paddr)
         seeds = self.scheme.seeds_for_block(SeedInput(paddr=paddr, counter=stamp))
         self.pads_generated += CHUNKS_PER_BLOCK
@@ -499,7 +493,7 @@ class GlobalCounterEncryption(EncryptionEngine):
         ).digest()[: len(self._key)]
         self._cipher = CounterModeCipher(self._key, fast=self._fast)
         for paddr in sorted(self._written):
-            stamp = self._read_stamp(paddr)
+            stamp = self.read_counter(paddr)
             raw = self.memory.read_block(paddr)
             # Each live block is checked against its MAC (bound to the
             # verified stamp) before its plaintext is re-keyed.
@@ -507,7 +501,7 @@ class GlobalCounterEncryption(EncryptionEngine):
             seeds = self.scheme.seeds_for_block(SeedInput(paddr=paddr, counter=stamp))
             plain = old_cipher_engine.decrypt(raw, seeds)
             new_stamp = self.global_counter.next_value()
-            self._write_stamp(paddr, new_stamp)
+            self._write_counter(paddr, new_stamp)
             new_seeds = self.scheme.seeds_for_block(SeedInput(paddr=paddr, counter=new_stamp))
             new_cipher = self._cipher.encrypt(plain, new_seeds)
             self.pads_generated += 2 * CHUNKS_PER_BLOCK
@@ -515,81 +509,48 @@ class GlobalCounterEncryption(EncryptionEngine):
         self.memory_reencryptions += 1
 
 
-class AddressSeedEncryption(EncryptionEngine):
+class AddressSeedEncryption(FlatCounterEncryption):
     """Address-based baselines: physical- or virtual-address seeds.
 
-    Per-block counters (32-bit) live packed in the counter region. The
-    virtual variant needs the access context (vaddr, pid) on *every*
-    access — the storage-in-L2 problem Table 1 notes — and the physical
-    variant requires page re-encryption on swap, implemented in
+    Per-block counters live packed in the counter region. The virtual
+    variant needs the access context (vaddr, pid) on *every* access —
+    the storage-in-L2 problem Table 1 notes — and the physical variant
+    requires page re-encryption on swap, implemented in
     ``repro.osmodel.kernel`` for the comparison tests.
     """
-
-    uses_counters = True
-    COUNTER_BITS = 32
 
     def __init__(
         self,
         key: bytes,
         memory: BlockMemory,
         counter_base: int,
-        data_bytes: int,
+        stamp_bytes: int,
         virtual: bool = False,
         include_pid: bool = True,
         fast_crypto: bool = True,
         seed_audit=None,
     ):
-        self._cipher = CounterModeCipher(key, fast=fast_crypto)
-        self.memory = memory
-        self.counter_base = counter_base
-        self.data_bytes = data_bytes
+        super().__init__(key, memory, counter_base, stamp_bytes, fast_crypto)
         self.virtual = virtual
         self.name = "virt_addr" if virtual else "phys_addr"
         self.scheme: SeedScheme = (
-            VirtualAddressSeedScheme(self.COUNTER_BITS, include_pid=include_pid)
+            VirtualAddressSeedScheme(include_pid=include_pid)
             if virtual
-            else PhysicalAddressSeedScheme(self.COUNTER_BITS)
+            else PhysicalAddressSeedScheme()
         )
         self.seed_audit = seed_audit
-        self.pads_generated = 0
-
-    def counter_block_address(self, paddr: int) -> int:
-        index = paddr // BLOCK_SIZE
-        offset = index * (self.COUNTER_BITS // 8)
-        return self.counter_base + (offset // BLOCK_SIZE) * BLOCK_SIZE
-
-    def _counter_location(self, paddr: int) -> tuple[int, int]:
-        index = paddr // BLOCK_SIZE
-        offset = index * (self.COUNTER_BITS // 8)
-        return self.counter_base + (offset // BLOCK_SIZE) * BLOCK_SIZE, offset % BLOCK_SIZE
-
-    def _read_counter(self, paddr: int) -> int:
-        block_addr, offset = self._counter_location(paddr)
-        raw = self.memory.read_block(block_addr)
-        self.metadata_verify(block_addr, raw)
-        return int.from_bytes(raw[offset : offset + 4], "big")
-
-    def _write_counter(self, paddr: int, value: int) -> None:
-        block_addr, offset = self._counter_location(paddr)
-        raw = bytearray(self.memory.read_block(block_addr))
-        raw[offset : offset + 4] = value.to_bytes(4, "big")
-        self.memory.write_block(block_addr, bytes(raw))
-        self.metadata_update(block_addr, bytes(raw))
-
-    def counter_tag(self, paddr: int, ctx: AccessContext = NULL_CONTEXT) -> int:
-        return self._read_counter(paddr)
 
     def _seed_input(self, paddr: int, counter: int, ctx: AccessContext) -> SeedInput:
         return SeedInput(paddr=paddr, vaddr=ctx.vaddr, pid=ctx.pid, counter=counter)
 
     def decrypt(self, paddr, cipher, ctx=NULL_CONTEXT):
-        counter = self._read_counter(paddr)
+        counter = self.read_counter(paddr)
         seeds = self.scheme.seeds_for_block(self._seed_input(paddr, counter, ctx))
         self.pads_generated += CHUNKS_PER_BLOCK
         return self._cipher.decrypt(cipher, seeds)
 
     def encrypt_for_write(self, paddr, plain, ctx=NULL_CONTEXT):
-        counter = self._read_counter(paddr) + 1
+        counter = self.read_counter(paddr) + 1
         self._write_counter(paddr, counter)
         seed_input = self._seed_input(paddr, counter, ctx)
         seeds = (
@@ -608,6 +569,6 @@ class AddressSeedEncryption(EncryptionEngine):
         old_cipher = self.memory.read_block(old_paddr)
         # MAC-check the block at its old frame before its plaintext is
         # re-encrypted for the new one (frame moves are adversary-visible).
-        self.verify_block(old_paddr, old_cipher, self._read_counter(old_paddr))
+        self.verify_block(old_paddr, old_cipher, self.read_counter(old_paddr))
         plain = self.decrypt(old_paddr, old_cipher, ctx)
         return self.encrypt_for_write(new_paddr, plain, ctx)

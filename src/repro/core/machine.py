@@ -150,7 +150,6 @@ class SecureMemorySystem:
         self.layout, geometry = plan_layout(self.config)
         self.memory = BlockMemory(self.layout.total_bytes, name="physical")
         self.fast_crypto = fast_crypto
-        self._fast_crypto = fast_crypto  # back-compat alias
 
         # Swap image geometry for this machine's scheme (multi-block
         # counter runs make images larger than the module constants).
@@ -167,7 +166,6 @@ class SecureMemorySystem:
 
         self.gpc = GlobalPageCounter()
         self.mac_fn = make_mac(self.mac_key, self.config.mac_bits, fast=fast_crypto)
-        self._mac_fn = self.mac_fn  # back-compat alias
 
         # Engines, built by the scheme descriptors.
         self.integrity = self.integ_scheme.build_engine(self, geometry)

@@ -62,7 +62,6 @@ class SchemeProperties:
     other_issues: str
     reencrypt_on_swap: bool
     supports_shared_memory: bool
-    counter_bytes_per_data_byte: float  # in-memory counter storage / data
 
 
 class SeedScheme:
@@ -150,7 +149,6 @@ class AiseSeedScheme(SeedScheme):
             other_issues="None",
             reencrypt_on_swap=False,
             supports_shared_memory=True,
-            counter_bytes_per_data_byte=BLOCK_SIZE / 4096,  # 64B per 4KB page
         )
 
 
@@ -181,20 +179,15 @@ class GlobalCounterSeedScheme(SeedScheme):
             other_issues=issues,
             reencrypt_on_swap=False,
             supports_shared_memory=True,
-            counter_bytes_per_data_byte=per_block,
         )
 
 
 class PhysicalAddressSeedScheme(SeedScheme):
     """Baseline: seed = physical block address | per-block counter | chunk."""
 
-    __slots__ = ("counter_bits",)
+    __slots__ = ()
 
     name = "phys_addr"
-
-    def __init__(self, counter_bits: int = 32):
-        super().__init__()
-        self.counter_bits = counter_bits
 
     def seed(self, ctx: SeedInput, chunk: int) -> int:
         block_number = ctx.paddr // BLOCK_SIZE
@@ -210,7 +203,6 @@ class PhysicalAddressSeedScheme(SeedScheme):
             other_issues="Re-enc on page swap",
             reencrypt_on_swap=True,
             supports_shared_memory=True,
-            counter_bytes_per_data_byte=self.counter_bits / 8 / BLOCK_SIZE,
         )
 
 
@@ -223,13 +215,12 @@ class VirtualAddressSeedScheme(SeedScheme):
     seeds for the same physical block).
     """
 
-    __slots__ = ("counter_bits", "include_pid")
+    __slots__ = ("include_pid",)
 
     name = "virt_addr"
 
-    def __init__(self, counter_bits: int = 32, include_pid: bool = True):
+    def __init__(self, include_pid: bool = True):
         super().__init__()
-        self.counter_bits = counter_bits
         self.include_pid = include_pid
 
     def seed(self, ctx: SeedInput, chunk: int) -> int:
@@ -249,7 +240,6 @@ class VirtualAddressSeedScheme(SeedScheme):
             other_issues="VA storage in L2; PIDs non-reusable",
             reencrypt_on_swap=False,
             supports_shared_memory=False,
-            counter_bytes_per_data_byte=self.counter_bits / 8 / BLOCK_SIZE,
         )
 
 
@@ -282,7 +272,6 @@ class SplitCounterSeedScheme(SeedScheme):
             other_issues="Re-enc on page swap",
             reencrypt_on_swap=True,
             supports_shared_memory=True,
-            counter_bytes_per_data_byte=BLOCK_SIZE / 4096,
         )
 
 

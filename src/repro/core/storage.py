@@ -17,8 +17,10 @@ implementation — see DESIGN.md section 5):
   data byte.
 * The **page root directory** holds one MAC per swap page, with swap
   sized equal to physical memory by default.
-* Counter storage: AISE = 64B per 4KB page (1/64); a ``b``-bit global
-  counter scheme stores ``b/8`` bytes per 64B block.
+* Counter storage is the encryption scheme descriptor's counter region
+  (:mod:`repro.schemes`), the one the machine's layout reserves: AISE =
+  64B per 4KB page (1/64); a flat scheme stores its ``stamp_bytes`` per
+  64B block.
 """
 
 from __future__ import annotations
@@ -26,11 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..mem.layout import BLOCK_SIZE, PAGE_SIZE
+from ..schemes import encryption_scheme
 from .config import (
-    ENC_AISE,
-    ENC_GLOBAL32,
-    ENC_GLOBAL64,
-    ENC_NONE,
     INT_BMT,
     INT_BMT_LAZY,
     INT_MAC,
@@ -77,20 +76,11 @@ class StorageBreakdown:
         return self.data_bytes / self.total_bytes
 
 
-def counter_bytes_per_data_byte(encryption: str, minor_counter_bits: int = 7) -> float:
-    """In-memory counter storage per byte of protected data."""
-    if encryption in (ENC_NONE, "direct"):
-        return 0.0
-    if encryption in (ENC_AISE, "split_ctr"):
-        return BLOCK_SIZE / PAGE_SIZE  # one 64B counter block per 4KB page
-    if encryption == ENC_GLOBAL64:
-        return 8 / BLOCK_SIZE
-    if encryption == ENC_GLOBAL32:
-        return 4 / BLOCK_SIZE
-    if encryption in ("phys_addr", "virt_addr"):
-        # Per-block counter of the configured width, packed.
-        return (minor_counter_bits / 8) / BLOCK_SIZE
-    raise ConfigurationError(f"no counter storage model for scheme {encryption!r}")
+def counter_bytes_per_data_byte(encryption: str) -> float:
+    """In-memory counter storage per byte of protected data: the scheme
+    descriptor's counter region for one page, the layout the machine
+    reserves."""
+    return encryption_scheme(encryption).counter_region_bytes(PAGE_SIZE) / PAGE_SIZE
 
 
 def tree_bytes(covered_bytes: float, mac_bytes: int) -> float:
@@ -109,13 +99,12 @@ def storage_breakdown(
     mac_bits: int,
     data_bytes: int = 1 << 30,
     swap_bytes: int | None = None,
-    minor_counter_bits: int = 7,
 ) -> StorageBreakdown:
     """Compute the Table 2 storage breakdown for one configuration."""
     if swap_bytes is None:
         swap_bytes = data_bytes
     mac_bytes = mac_bits // 8
-    counters = counter_bytes_per_data_byte(encryption, minor_counter_bits) * data_bytes
+    counters = counter_bytes_per_data_byte(encryption) * data_bytes
 
     if integrity == INT_NONE:
         merkle = 0.0
@@ -202,5 +191,4 @@ def breakdown_for_config(config: MachineConfig) -> StorageBreakdown:
         config.mac_bits,
         data_bytes=config.physical_bytes,
         swap_bytes=config.swap_bytes,
-        minor_counter_bits=config.minor_counter_bits,
     )

@@ -498,7 +498,6 @@ def run_cells(
     overlap: float = 0.7,
     warmup: float = 0.25,
     trace_provider=None,
-    progress=None,
     metrics: bool = False,
     fleet: "fleet_obs.FleetCollector | None" = None,
     live: "fleet_obs.ProgressStream | None" = None,
@@ -517,7 +516,6 @@ def run_cells(
     * ``trace_provider`` (bench -> Trace) supplies traces for digest
       computation; defaults to regenerating via ``spec_trace``. Callers
       with memoized traces (the Runner) pass theirs to avoid regeneration.
-    * ``progress`` (done, total, cell) is called after each cell resolves.
     * ``metrics`` attaches each cell's metrics-registry snapshot to its
       ``SimResult.metrics`` (cached under distinct keys, so metric-free
       and metric-carrying sweeps never serve each other stale records).
@@ -608,7 +606,7 @@ def run_cells(
         return rate, eta, ratio
 
     def account(cell: Cell, source: str, capture_rec: dict | None = None) -> None:
-        """One cell resolved: fleet record, progress, logging."""
+        """One cell resolved: fleet record, live stream, logging."""
         nonlocal done, cached_done
         done += 1
         if source == fleet_obs.SOURCE_CACHE:
@@ -639,8 +637,6 @@ def run_cells(
                       cells_per_sec=rate, eta_s=eta,
                       cache_hit_ratio=ratio, worker=worker)
         log.info("cell %d/%d: %s/%s done", done, total, cell.bench, cell.label)
-        if progress is not None:
-            progress(done, total, cell)
 
     def finish(cell: Cell, result: SimResult, source: str,
                capture_rec: dict | None = None,

@@ -82,9 +82,6 @@ class TreeGeometry:
     def covers(self, address: int) -> bool:
         return self.covered_start <= address < self.covered_start + self.covered_bytes
 
-    def is_node_address(self, address: int) -> bool:
-        return self.nodes_start <= address < self.nodes_end
-
     def child_index(self, address: int) -> int:
         """Level-0 block index of a covered address."""
         if not self.covers(address):

@@ -233,9 +233,6 @@ class MerkleTree:
             self._drain_dirty(None, None)
         self._trusted.clear()
 
-    def drop_trusted(self, address: int) -> bool:
-        return self._trusted.pop(address, None) is not None
-
     def invalidate_covered_range(self, start: int, length: int) -> int:
         """Drop trusted copies of every node covering [start, start+length).
 

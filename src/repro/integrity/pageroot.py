@@ -58,9 +58,6 @@ class PageRootDirectory:
         byte_offset = slot * self.mac_bytes
         return self.base + (byte_offset // BLOCK_SIZE) * BLOCK_SIZE, byte_offset % BLOCK_SIZE
 
-    def slot_block_address(self, slot: int) -> int:
-        return self._locate(slot)[0]
-
     def install(self, slot: int, page_root: bytes) -> None:
         """Record the page root of the page now occupying swap ``slot``."""
         if len(page_root) != self.mac_bytes:

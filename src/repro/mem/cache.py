@@ -116,9 +116,6 @@ class SetAssociativeCache:
         self.__class__ = SetAssociativeCache
         return sets
 
-    def _set_for(self, block: int) -> OrderedDict:
-        return self._sets[block % self.num_sets]
-
     # -- statistics ---------------------------------------------------------
 
     def reset_stats(self) -> None:

@@ -82,9 +82,5 @@ class Geometry:
         return self.physical_bytes // PAGE_SIZE
 
     @property
-    def physical_blocks(self) -> int:
-        return self.physical_bytes // BLOCK_SIZE
-
-    @property
     def swap_pages(self) -> int:
         return self.swap_bytes // PAGE_SIZE

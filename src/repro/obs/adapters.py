@@ -144,13 +144,6 @@ def register_pad_cache(registry, owner, prefix: str = "pad_cache"):
     return scope
 
 
-def register_engine(registry, engine, prefix: str):
-    """Bind a :class:`~repro.crypto.engine.PipelinedEngine`'s op count."""
-    scope = registry.scoped(prefix)
-    scope.bind("operations", lambda: engine.operations)
-    return scope
-
-
 def register_integrity(registry, integrity, prefix: str = "integrity"):
     """Bind an integrity verifier's verification count."""
     scope = registry.scoped(prefix)
@@ -178,15 +171,6 @@ def register_machine(registry, machine, prefix: str = "machine"):
         scope.bind(name, getter)
     if getattr(machine.encryption, "pad_cache", None) is not None:
         register_pad_cache(registry, machine.encryption, f"{prefix}.pad_cache")
-    return scope
-
-
-def register_predictor(registry, predictor, prefix: str = "prediction"):
-    """Bind a :class:`~repro.core.prediction.CounterPredictor`'s stats."""
-    scope = registry.scoped(prefix)
-    for name in ("attempts", "hits", "candidate_trials", "fallbacks"):
-        scope.bind(name, lambda n=name: getattr(predictor.stats, n))
-    scope.bind("hit_rate", lambda: predictor.stats.hit_rate)
     return scope
 
 

@@ -92,5 +92,3 @@ class FrameAllocator:
                 return info
         return None
 
-    def mapped_frames(self) -> list[FrameInfo]:
-        return [info for info in self._info.values() if info.mappers]

@@ -174,7 +174,7 @@ class FlatCounterScheme(EncryptionScheme):
 
     def page_counter_base(self, machine, frame_index: int) -> int:
         """Physical address of the first counter block of a page's run."""
-        return machine.layout.counter_base + frame_index * BLOCKS_PER_PAGE * self.stamp_bytes
+        return machine.encryption.counter_block_address(frame_index * BLOCKS_PER_PAGE * BLOCK_SIZE)
 
     def export_counter_run(self, machine, frame_index: int) -> bytes:
         base = self.page_counter_base(machine, frame_index)

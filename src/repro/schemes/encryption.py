@@ -116,8 +116,7 @@ class GlobalCounterScheme(FlatCounterScheme):
             machine.encryption_key,
             memory=machine.memory,
             counter_base=machine.layout.counter_base,
-            data_bytes=machine.layout.data_bytes,
-            bits=self.bits,
+            stamp_bytes=self.stamp_bytes,
             fast_crypto=machine.fast_crypto,
         )
 
@@ -147,7 +146,7 @@ class AddressSeedScheme(FlatCounterScheme):
             machine.encryption_key,
             memory=machine.memory,
             counter_base=machine.layout.counter_base,
-            data_bytes=machine.layout.data_bytes,
+            stamp_bytes=self.stamp_bytes,
             virtual=self.virtual,
             fast_crypto=machine.fast_crypto,
             seed_audit=seed_audit,

@@ -19,8 +19,6 @@ class TestDefaults:
         assert config.memory_latency == 200
         assert config.aes_latency == 80
         assert config.mac_bits == 128
-        assert config.lpid_bits == 64
-        assert config.minor_counter_bits == 7
 
     def test_default_protection_is_the_proposal(self):
         config = MachineConfig()

@@ -9,7 +9,6 @@ from repro.core.counters import (
     MINOR_MAX,
     MonotonicGlobalCounter,
     PageCounterBlock,
-    SplitCounterBlock,
 )
 from repro.core.errors import CounterOverflowError
 
@@ -157,27 +156,6 @@ class TestPackedMinorsStayInStep:
             block.to_bytes()
         block.minors[9] = 7
         assert block.to_bytes() == _packed_from_scratch(block)
-
-
-class TestSplitCounterBlock:
-    def test_overflow_bumps_major(self):
-        block = SplitCounterBlock.fresh()
-        block.minors[0] = MINOR_MAX
-        assert block.increment(0) is True
-        assert block.major == 1
-        assert block.minors[0] == 0
-
-    def test_roundtrip(self):
-        block = SplitCounterBlock(major=42, minors=[1] * 64)
-        restored = SplitCounterBlock.from_bytes(block.to_bytes())
-        assert (restored.major, restored.minors) == (42, [1] * 64)
-
-    def test_same_layout_as_page_counter_block(self):
-        """AISE replaces the split counter's major with the LPID — the
-        64-byte layout is identical (paper section 4.3)."""
-        split = SplitCounterBlock(major=99, minors=[3] * 64)
-        aise = PageCounterBlock(lpid=99, minors=[3] * 64)
-        assert split.to_bytes() == aise.to_bytes()
 
 
 class TestGlobalPageCounter:

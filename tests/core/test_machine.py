@@ -181,8 +181,8 @@ class TestGlobalCounterMachine:
         machine = make_machine(encryption="global64", integrity="none", data_bytes=16 * 4096)
         machine.write_block(0, bytes(64))
         machine.write_block(64, bytes(64))
-        assert machine.encryption._read_stamp(0) == 1
-        assert machine.encryption._read_stamp(64) == 2
+        assert machine.encryption.read_counter(0) == 1
+        assert machine.encryption.read_counter(64) == 2
 
     def test_wrap_triggers_whole_memory_reencryption(self):
         """Force a tiny global counter to wrap: every live block must be

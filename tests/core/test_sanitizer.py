@@ -12,7 +12,6 @@ import pytest
 from repro.core import sanitizer
 from repro.core.config import MachineConfig
 from repro.core.counters import (
-    FlatCounterStore,
     GlobalPageCounter,
     MonotonicGlobalCounter,
     PageCounterBlock,
@@ -93,12 +92,6 @@ class TestCounterSeam:
         ctr._value = -5  # simulate corrupted counter state
         with sanitized(), pytest.raises(SanitizerError):
             ctr.next_value()
-
-    def test_flat_store_negative_counter_is_caught(self):
-        store = FlatCounterStore(counter_bits=8)
-        store._values[0] = -1
-        with sanitized(), pytest.raises(SanitizerError):
-            store.increment(0)
 
     def test_gpc_zero_state_is_caught(self):
         gpc = GlobalPageCounter()

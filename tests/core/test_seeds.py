@@ -147,10 +147,6 @@ class TestFactoryAndProperties:
         assert not VirtualAddressSeedScheme().properties.supports_shared_memory
         assert GlobalCounterSeedScheme(64).properties.supports_shared_memory
 
-    def test_storage_ratios(self):
-        assert AiseSeedScheme().properties.counter_bytes_per_data_byte == pytest.approx(1 / 64)
-        assert GlobalCounterSeedScheme(64).properties.counter_bytes_per_data_byte == pytest.approx(1 / 8)
-
 
 class TestSuperpages:
     """Section 4.3: LPIDs at the smallest page granularity keep seeds

@@ -31,7 +31,6 @@ class TestSeeds:
         props = SplitCounterSeedScheme().properties
         assert props.reencrypt_on_swap  # the address component's price
         assert props.supports_shared_memory  # physical address: IPC fine
-        assert props.counter_bytes_per_data_byte == pytest.approx(1 / 64)
 
 
 class TestMachine:

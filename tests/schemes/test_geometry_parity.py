@@ -13,9 +13,18 @@ import pytest
 
 from repro.core.config import MachineConfig
 from repro.core.machine import IMAGE_HEADER, SecureMemorySystem, plan_layout
+from repro.core.storage import breakdown_for_config
 from repro.fastpath.walk import miss_walk
 from repro.mem.layout import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE
-from repro.schemes import encryption_keys, encryption_scheme, integrity_keys, integrity_scheme
+from repro.schemes import (
+    encryption_keys,
+    encryption_scheme,
+    integrity_keys,
+    integrity_scheme,
+    register_encryption,
+    unregister_encryption,
+)
+from repro.schemes.encryption import AiseScheme
 from repro.sim.simulator import TimingSimulator
 
 DATA_BYTES = 1 << 20  # 1MB: 256 pages, small enough for functional engines
@@ -35,6 +44,12 @@ class TestCounterGeometryParity:
         scheme = encryption_scheme(enc)
         layout, _ = plan_layout(_config(enc))
         assert layout.counter_bytes == scheme.counter_region_bytes(DATA_BYTES)
+
+    def test_storage_model_counts_the_layout_counter_region(self, enc):
+        """Table 2's analytic model and the machine reserve the same bytes."""
+        config = _config(enc)
+        layout, _ = plan_layout(config)
+        assert breakdown_for_config(config).counter_bytes == layout.counter_bytes
 
     def test_simulator_span_matches_descriptor(self, enc):
         scheme = encryption_scheme(enc)
@@ -71,6 +86,24 @@ class TestCounterGeometryParity:
         machine = SecureMemorySystem(_config(enc))
         assert machine.image_bytes == IMAGE_HEADER + PAGE_SIZE + run_bytes
         assert machine.image_blocks * BLOCK_SIZE >= machine.image_bytes
+
+
+class _PerProcessCounterScheme(AiseScheme):
+    """The docs' worked example: an AISE-family scheme registered by key."""
+
+    key = "per_process"
+
+
+class TestRegisteredSchemeStorage:
+    def test_registered_scheme_gets_a_breakdown_equal_to_its_layout(self):
+        register_encryption(_PerProcessCounterScheme())
+        try:
+            config = _config("per_process")
+            layout, _ = plan_layout(config)
+            assert layout.counter_bytes == DATA_BYTES // 64  # 16KB per MB
+            assert breakdown_for_config(config).counter_bytes == layout.counter_bytes
+        finally:
+            unregister_encryption("per_process")
 
 
 class TestTimingFlagsParity:

@@ -17,6 +17,13 @@ class TestStorageCommand:
         out = capsys.readouterr().out
         assert "55.71%" in out
 
+    def test_address_seeded_counters_match_the_layout(self, capsys):
+        """32-bit per-block counters: 4B per 64B block, 64MB per GB."""
+        assert main(["storage", "--encryption", "phys_addr", "--data-mb", "1024"]) == 0
+        out = capsys.readouterr().out
+        counters = next(line for line in out.splitlines() if line.startswith("counters"))
+        assert "64.00 MB" in counters
+
 
 class TestAttacksCommand:
     def test_bmt_detects_all(self, capsys):
