@@ -8,6 +8,8 @@ cold-process floor:
   subprocess: interpreter boot, imports, trace decode, machine
   construction, simulation. What dispatching a cell costs without a
   resident service.
+* ``interpreter`` — a bare ``python -c pass``, timed alternately with
+  ``cold_process``: the host's floor for any fresh process.
 * ``cold_service`` — the first-ever request on a fresh server: the
   socket round trip plus building the trace and the machine (filling
   every tier on the way out).
@@ -22,7 +24,10 @@ The ratios (``cold_process`` over ``warm_service`` / ``lru_hit``) are
 the service's reason to exist and the committed regression surface:
 ``--check`` fails if a ratio regressed more than ``--tolerance``
 against the committed ``BENCH_service.json``, or if either ratio falls
-below the 5x acceptance floor. Absolute latencies are machine-specific;
+below the 5x acceptance floor. A faster cold start lowers both by
+construction; ``cold_process_over_interpreter`` prices the cold start
+itself in bare interpreter starts, and ``--check`` fails if it rose
+more than ``--tolerance``. Absolute latencies are machine-specific;
 the ratios are comparable anywhere.
 
 Run:  PYTHONPATH=src python benchmarks/bench_service.py [--events N]
@@ -54,22 +59,31 @@ def _median_ms(samples: list[float]) -> float:
     return round(statistics.median(samples) * 1000.0, 3)
 
 
-def _cold_process_ms(events: int, repeats: int) -> float:
-    """One cell via a fresh interpreter — the no-service dispatch cost."""
+def _process_s(command: list[str]) -> float:
+    """Wall time of ``command`` in a fresh interpreter."""
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src")
-    command = [sys.executable, "-m", "repro", "simulate",
-               "--benchmark", WORKLOAD, "--events", str(events), "--json"]
-    samples = []
+    start = time.perf_counter()
+    proc = subprocess.run(command, env=env, cwd=root,
+                          capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(command)} failed: {proc.stderr}")
+    return elapsed
+
+
+def _cold_process_ms(events: int, repeats: int) -> tuple[float, float]:
+    """One cell via a fresh interpreter (the no-service dispatch cost)
+    and a bare interpreter start, medians of alternating runs."""
+    cell = [sys.executable, "-m", "repro", "simulate",
+            "--benchmark", WORKLOAD, "--events", str(events), "--json"]
+    bare = [sys.executable, "-c", "pass"]
+    cells, bares = [], []
     for _ in range(repeats):
-        start = time.perf_counter()
-        proc = subprocess.run(command, env=env, cwd=root,
-                              capture_output=True, text=True)
-        samples.append(time.perf_counter() - start)
-        if proc.returncode != 0:
-            raise RuntimeError(f"cold-process run failed: {proc.stderr}")
-    return _median_ms(samples)
+        cells.append(_process_s(cell))
+        bares.append(_process_s(bare))
+    return _median_ms(cells), _median_ms(bares)
 
 
 def _request_ms(client, request) -> float:
@@ -79,7 +93,7 @@ def _request_ms(client, request) -> float:
 
 
 def run_benchmark(events: int, repeats: int) -> dict:
-    cold_process = _cold_process_ms(events, max(2, repeats // 2))
+    cold_process, interpreter = _cold_process_ms(events, max(2, repeats // 2))
 
     with serve_background() as handle:
         with handle.client(tenant="loadgen") as client:
@@ -113,6 +127,7 @@ def run_benchmark(events: int, repeats: int) -> dict:
                     "are comparable across machines",
         },
         "latency_ms": {
+            "interpreter": interpreter,
             "cold_process": cold_process,
             "cold_service": cold_service,
             "warm_service": warm,
@@ -122,23 +137,32 @@ def run_benchmark(events: int, repeats: int) -> dict:
             "cold_process_over_warm": round(cold_process / warm, 2),
             "cold_process_over_lru": round(cold_process / lru, 2),
             "warm_over_lru": round(warm / lru, 2),
+            "cold_process_over_interpreter": round(cold_process / interpreter, 2),
         },
     }
 
 
 # The committed ratios --check guards; each must also clear the floor.
 GUARDED = ("cold_process_over_warm", "cold_process_over_lru")
+# Guarded the other way: the cost of a cold cell in bare interpreter
+# starts, which a slower import path raises.
+CEILINGED = ("cold_process_over_interpreter",)
 
 
 def check_regression(current: dict, baseline: dict, tolerance: float) -> list[str]:
-    """Ratios below the acceptance floor or the committed baseline."""
+    """Ratios below the acceptance floor or the committed baseline, or
+    (``CEILINGED``) above the committed baseline."""
     failures = [
         f"{name}: {current['ratios'][name]:.1f}x is below the "
         f"{ACCEPTANCE_FLOOR:.0f}x acceptance floor"
         for name in GUARDED if current["ratios"][name] < ACCEPTANCE_FLOOR
     ]
-    paths = [("ratios", name) for name in GUARDED]
-    return failures + ledger.regressions(current, baseline, paths, tolerance)
+    return (failures
+            + ledger.regressions(current, baseline,
+                                 [("ratios", name) for name in GUARDED], tolerance)
+            + ledger.regressions(current, baseline,
+                                 [("ratios", name) for name in CEILINGED], tolerance,
+                                 lower_is_better=True))
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,8 @@ run live either way, so there is nothing to compare for them. All runs
 happen in the same process on the same inputs, so the *speedup ratios*
 are meaningful on any machine even though absolute accesses/sec are
 not. The two sides alternate repeat by repeat, so a slow spell of a
-shared host lands on both.
+shared host lands on both, and each speedup is the median of the
+per-alternation ratios.
 
 Emits ``BENCH_throughput.json`` (the repo's perf trajectory; committed
 at the repo root). ``--check`` re-runs the benchmark and fails if a
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import os
 import platform
+import statistics
 import sys
 import time
 
@@ -51,26 +53,32 @@ DEFAULT_OUT = os.path.join(os.path.dirname(__file__), os.pardir,
                            "BENCH_throughput.json")
 
 
-def _interleaved(repeats: int, timed) -> tuple[float, float]:
-    """Best ``timed(gate)`` rate per side, over ``repeats`` alternations.
+def _interleaved(repeats: int, timed) -> tuple[float, float, float]:
+    """Median reference rate, fast rate and speedup over ``repeats``
+    alternations of ``timed(gate)``.
 
     One reference repeat, then one fast repeat, each inside its own
     ``fastpath.forced``: a slow spell of a shared host lands on both
-    sides instead of on whichever side ran through it.
+    sides of one alternation instead of on whichever side ran through
+    it. The speedup is the median of the per-alternation ratios, so one
+    lucky repeat on either side cannot set it.
     """
-    best = {False: 0.0, True: 0.0}
+    rates = {False: [], True: []}
     for _ in range(repeats):
         for gate in (False, True):
             with fastpath.forced(gate):
-                best[gate] = max(best[gate], timed(gate))
-    return best[False], best[True]
+                rates[gate].append(timed(gate))
+    ratios = [fast / reference for reference, fast in zip(rates[False], rates[True])]
+    return (statistics.median(rates[False]), statistics.median(rates[True]),
+            statistics.median(ratios))
 
 
 def _functional_accesses_per_sec(
     preset: str, pages: int, rounds: int, repeats: int
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Reference and fast accesses/sec of read-heavy traffic on a warm
-    functional machine, each side's machine built under its own gate."""
+    functional machine, each side's machine built under its own gate,
+    and the speedup (see :func:`_interleaved`)."""
     addresses = [page * PAGE + line * BLOCK
                  for page in range(pages) for line in (0, 17, 42)]
     payload = bytes(range(64))
@@ -102,9 +110,9 @@ def _functional_accesses_per_sec(
 
 
 def _timing_cold_accesses_per_sec(preset: str, trace,
-                                  repeats: int) -> tuple[float, float]:
+                                  repeats: int) -> tuple[float, float, float]:
     """Reference and compiled trace events/sec with a *fresh* simulator
-    per run (cold caches).
+    per run (cold caches), and the speedup (see :func:`_interleaved`).
 
     The sweep-cell protocol — every ``repro.evalx`` grid cell and every
     served request starts cold — and the one where the compiled trace
@@ -143,20 +151,20 @@ def run_benchmark(events: int, pages: int, rounds: int, repeats: int) -> dict:
         "timing_compiled": {},
     }
     for preset in FUNCTIONAL_PRESETS:
-        reference, fast = _functional_accesses_per_sec(preset, pages, rounds,
-                                                       repeats)
+        reference, fast, speedup = _functional_accesses_per_sec(
+            preset, pages, rounds, repeats)
         report["functional"][preset] = {
             "reference_accesses_per_sec": round(reference, 1),
             "fastpath_accesses_per_sec": round(fast, 1),
-            "speedup": round(fast / reference, 3),
+            "speedup": round(speedup, 3),
         }
     for preset in TIMING_PRESETS:
-        reference, compiled = _timing_cold_accesses_per_sec(preset, trace,
-                                                            repeats)
+        reference, compiled, speedup = _timing_cold_accesses_per_sec(
+            preset, trace, repeats)
         report["timing_compiled"][preset] = {
             "reference_accesses_per_sec": round(reference, 1),
             "compiled_accesses_per_sec": round(compiled, 1),
-            "speedup": round(compiled / reference, 3),
+            "speedup": round(speedup, 3),
         }
     return report
 
@@ -177,9 +185,9 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=40,
                         help="functional-path passes over the working set")
     parser.add_argument("--repeats", type=int, default=15,
-                        help="timed runs per preset and mode (best is kept; "
-                             "default 15, the protocol --check holds the "
-                             "ledger to)")
+                        help="timed runs per preset and mode (medians are "
+                             "kept; default 15, the protocol --check holds "
+                             "the ledger to)")
     ledger.add_arguments(parser, DEFAULT_OUT, tolerance=0.20)
     args = parser.parse_args(argv)
 

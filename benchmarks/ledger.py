@@ -38,8 +38,10 @@ def _lookup(report: dict, path):
     return report
 
 
-def regressions(current: dict, baseline: dict, paths, tolerance: float) -> list[str]:
-    """Ratios at key ``paths`` that fell more than ``tolerance`` below baseline."""
+def regressions(current: dict, baseline: dict, paths, tolerance: float,
+                lower_is_better: bool = False) -> list[str]:
+    """Ratios at key ``paths`` that fell more than ``tolerance`` below
+    baseline (rose above it, with ``lower_is_better``)."""
     failures = []
     for path in paths:
         name = "/".join(path)
@@ -52,6 +54,13 @@ def regressions(current: dict, baseline: dict, paths, tolerance: float) -> list[
             now = _lookup(current, path)
         except KeyError:
             failures.append(f"{name}: missing from current run")
+            continue
+        if lower_is_better:
+            ceiling = committed * (1.0 + tolerance)
+            if now > ceiling:
+                failures.append(
+                    f"{name}: {now:.2f} > {ceiling:.2f} ({committed:.2f} "
+                    f"committed, +{tolerance:.0%} tolerance)")
             continue
         floor = committed * (1.0 - tolerance)
         if now < floor:

@@ -20,17 +20,7 @@ The blessed entry points live in :mod:`repro.api` (re-exported here):
   of the paper's evaluation.
 """
 
-from . import attacks, core, crypto, evalx, fastpath, integrity, mem, osmodel, sim, workloads
-from .core import (
-    AccessContext,
-    IntegrityError,
-    MachineConfig,
-    SecureMemorySystem,
-)
-from .osmodel import Kernel
-from .sim import SimResult, TimingSimulator, Trace
-from . import api
-from .api import build_machine, load_trace, preset_names, simulate, sweep, trace
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -62,3 +52,19 @@ __all__ = [
     "evalx",
     "__version__",
 ]
+
+# Every name resolves on first use, so ``import repro`` loads no layer
+# and a script loads only the layers it touches: the functional machine
+# never pays for numpy or the timing model.
+__getattr__ = lazy_exports(__name__, {
+    "api": None, "analysis": None, "attacks": None, "core": None,
+    "crypto": None, "evalx": None, "fastpath": None, "integrity": None,
+    "mem": None, "obs": None, "osmodel": None, "schemes": None,
+    "service": None, "sim": None, "workloads": None,
+    "build_machine": ".api", "simulate": ".api", "sweep": ".api",
+    "trace": ".api", "load_trace": ".api", "preset_names": ".api",
+    "SecureMemorySystem": ".core", "MachineConfig": ".core",
+    "AccessContext": ".core", "IntegrityError": ".core",
+    "Kernel": ".osmodel",
+    "TimingSimulator": ".sim", "SimResult": ".sim", "Trace": ".sim",
+})

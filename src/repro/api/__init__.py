@@ -37,16 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..attacks import run_all as run_attacks
-from ..core import CounterPredictor, IntegrityError
-from ..core.config import ConfigurationError, MachineConfig
-from ..core.machine import SecureMemorySystem
-from ..core.storage import StorageBreakdown, breakdown_for_config, storage_breakdown
-from ..osmodel import Kernel
-from ..sim import AccessRecorder
-from ..sim.results import SimResult
-from ..sim.simulator import TimingSimulator
-from ..sim.trace import Trace
+from .._lazy import lazy_exports
 
 __all__ = [
     "build_machine",
@@ -76,6 +67,28 @@ __all__ = [
 ]
 
 
+# The re-exported names resolve on first use, so each entry point loads
+# only the layers it runs: ``build_machine`` never loads the simulator or
+# numpy, and ``repro submit`` (which needs only ``schema``) loads neither
+# layer. This module's own functions import what they use locally.
+__getattr__ = lazy_exports(__name__, {
+    "AccessRecorder": "..sim.recorder",
+    "ConfigurationError": "..core.config",
+    "CounterPredictor": "..core.prediction",
+    "IntegrityError": "..core.errors",
+    "Kernel": "..osmodel.kernel",
+    "MachineConfig": "..core.config",
+    "SecureMemorySystem": "..core.machine",
+    "SimResult": "..sim.results",
+    "StorageBreakdown": "..core.storage",
+    "TimingSimulator": "..sim.simulator",
+    "Trace": "..sim.trace",
+    "breakdown_for_config": "..core.storage",
+    "run_attacks": "..attacks:run_all",
+    "storage_breakdown": "..core.storage",
+})
+
+
 def preset_names(*, full: bool = False) -> tuple[str, ...]:
     """The configuration labels a client may pass as ``config``.
 
@@ -91,6 +104,8 @@ def preset_names(*, full: bool = False) -> tuple[str, ...]:
     label builds both a timing simulator and a functional machine;
     ``base+bmt``, for one, has no counters for a Bonsai tree to cover.
     """
+    from ..core.config import ConfigurationError, MachineConfig
+
     canonical = MachineConfig.preset_names()
     if not full:
         return canonical
@@ -124,6 +139,8 @@ def preset_names(*, full: bool = False) -> tuple[str, ...]:
 
 def _resolve_config(config) -> tuple[MachineConfig, str | None]:
     """Accept a MachineConfig or a preset label; returns (config, label)."""
+    from ..core.config import MachineConfig
+
     if isinstance(config, MachineConfig):
         return config, None
     return MachineConfig.preset(config), config
@@ -136,6 +153,8 @@ def load_trace(workload, events: int = 60_000) -> Trace:
     ``stream`` (sequential sweep), ``chase`` (pointer chase), or
     ``resident`` (cache-resident working set).
     """
+    from ..sim.trace import Trace
+
     if isinstance(workload, Trace):
         return workload
     from ..workloads import synthetic
@@ -165,6 +184,9 @@ def build_machine(preset="aise+bmt", *, boot: bool = True, **overrides) -> Secur
     counter region and integrity tree; an unbooted machine is only
     useful for layout inspection).
     """
+    from ..core.config import MachineConfig
+    from ..core.machine import SecureMemorySystem
+
     if isinstance(preset, MachineConfig):
         if overrides:
             raise TypeError("pass overrides with a preset label, or a complete MachineConfig")
@@ -196,6 +218,8 @@ def simulate(
     knob, same spelling, as :func:`sweep`). Equivalent to building the
     :class:`TimingSimulator` by hand — same defaults, same result.
     """
+    from ..sim.simulator import TimingSimulator
+
     resolved, preset = _resolve_config(config)
     trace_ = load_trace(workload, events)
     return TimingSimulator(resolved, overlap=overlap).run(
@@ -229,7 +253,7 @@ def precompile(workload, config="aise+bmt", *, events: int = 60_000) -> dict:
     precompile and raises ValueError.
     """
     from ..fastpath.compiled import classification_key, compiled_for
-    from ..sim.simulator import _OCCUPANCY_SAMPLE_PERIOD, run_label
+    from ..sim.simulator import _OCCUPANCY_SAMPLE_PERIOD, TimingSimulator, run_label
 
     resolved, label = _resolve_config(config)
     sim = TimingSimulator(resolved)
@@ -260,6 +284,7 @@ def _sweep_axes(configs=None, benchmarks=None) -> tuple[tuple, tuple]:
     raise ValueError. :func:`sweep` and the service's ``sweep`` op share
     this check, so both answer a bad knob with the same message.
     """
+    from ..core.config import ConfigurationError, MachineConfig
     from ..evalx.runner import CONFIGS
     from ..workloads.spec2k import SPEC2K_BENCHMARKS
 
@@ -428,6 +453,7 @@ def trace(
     from .. import obs
     from ..obs import chrome as chrome_mod
     from ..obs.tracer import EventTracer, JsonlSink, ListSink, TeeSink
+    from ..sim.simulator import TimingSimulator
 
     resolved, preset = _resolve_config(config)
     trace_ = load_trace(workload, events)

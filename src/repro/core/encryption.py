@@ -168,7 +168,6 @@ class AiseEncryption(EncryptionEngine):
         key: bytes,
         memory: BlockMemory,
         counter_base: int,
-        data_bytes: int,
         gpc: GlobalPageCounter,
         fast_crypto: bool = True,
         seed_audit=None,
@@ -176,7 +175,6 @@ class AiseEncryption(EncryptionEngine):
         self._cipher = CounterModeCipher(key, fast=fast_crypto)
         self.memory = memory
         self.counter_base = counter_base
-        self.data_bytes = data_bytes
         self.gpc = gpc
         self.scheme: SeedScheme = AiseSeedScheme()
         self.seed_audit = seed_audit
@@ -365,10 +363,10 @@ class SplitCounterEncryption(AiseEncryption):
 
     name = "split_ctr"
 
-    def __init__(self, key, memory, counter_base, data_bytes, fast_crypto=True, seed_audit=None):
+    def __init__(self, key, memory, counter_base, fast_crypto=True, seed_audit=None):
         # A GPC is unnecessary; pass a private one to satisfy the parent.
         super().__init__(
-            key, memory, counter_base, data_bytes,
+            key, memory, counter_base,
             gpc=GlobalPageCounter(), fast_crypto=fast_crypto, seed_audit=seed_audit,
         )
         from .seeds import SplitCounterSeedScheme

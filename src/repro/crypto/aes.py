@@ -37,16 +37,17 @@ def _gf_mul(a: int, b: int) -> int:
 
 
 def _build_sbox() -> tuple[bytes, bytes]:
-    # Multiplicative inverses via exhaustive search (runs once at import).
-    inverse = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if _gf_mul(x, y) == 1:
-                inverse[x] = y
-                break
+    # Multiplicative inverses from the powers of the generator 3:
+    # inverse(3^i) = 3^(255 - i).
+    power, log = [0] * 255, [0] * 256
+    value = 1
+    for i in range(255):
+        power[i] = value
+        log[value] = i
+        value = _gf_mul(value, 3)
     sbox = bytearray(256)
     for x in range(256):
-        b = inverse[x]
+        b = power[(255 - log[x]) % 255] if x else 0
         # Affine transform: b ^ rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4) ^ 0x63
         value = 0x63
         for shift in range(5):
@@ -59,20 +60,39 @@ def _build_sbox() -> tuple[bytes, bytes]:
     return bytes(sbox), bytes(inv_sbox)
 
 
-SBOX, INV_SBOX = _build_sbox()
+def _build_tables() -> None:
+    """Bind the S-boxes, round constants and (Inv)MixColumns tables.
 
-# Round constants for the key schedule (powers of x in GF(2^8)).
-_RCON = [0x01]
-while len(_RCON) < 14:
-    _RCON.append(_gf_mul(_RCON[-1], 2))
+    Run once, by the first key expansion or the first read of a table
+    from outside, so importing the module costs no table construction.
+    """
+    global SBOX, INV_SBOX, _RCON, _MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14, _BUILT
+    SBOX, INV_SBOX = _build_sbox()
+    # Round constants for the key schedule (powers of x in GF(2^8)).
+    _RCON = [0x01]
+    while len(_RCON) < 14:
+        _RCON.append(_gf_mul(_RCON[-1], 2))
+    # Precomputed xtime tables used by (Inv)MixColumns.
+    _MUL2 = bytes(_gf_mul(x, 2) for x in range(256))
+    _MUL3 = bytes(_gf_mul(x, 3) for x in range(256))
+    _MUL9 = bytes(_gf_mul(x, 9) for x in range(256))
+    _MUL11 = bytes(_gf_mul(x, 11) for x in range(256))
+    _MUL13 = bytes(_gf_mul(x, 13) for x in range(256))
+    _MUL14 = bytes(_gf_mul(x, 14) for x in range(256))
+    # Set last: a thread that sees it set sees every table.
+    _BUILT = True
 
-# Precomputed xtime tables used by (Inv)MixColumns.
-_MUL2 = bytes(_gf_mul(x, 2) for x in range(256))
-_MUL3 = bytes(_gf_mul(x, 3) for x in range(256))
-_MUL9 = bytes(_gf_mul(x, 9) for x in range(256))
-_MUL11 = bytes(_gf_mul(x, 11) for x in range(256))
-_MUL13 = bytes(_gf_mul(x, 13) for x in range(256))
-_MUL14 = bytes(_gf_mul(x, 14) for x in range(256))
+
+_BUILT = False
+_TABLES = frozenset(("SBOX", "INV_SBOX", "_RCON", "_MUL2", "_MUL3", "_MUL9",
+                     "_MUL11", "_MUL13", "_MUL14"))
+
+
+def __getattr__(name: str):
+    if name not in _TABLES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _build_tables()
+    return globals()[name]
 
 
 def expand_key(key: bytes) -> list[list[int]]:
@@ -83,6 +103,8 @@ def expand_key(key: bytes) -> list[list[int]]:
     """
     if len(key) not in (16, 24, 32):
         raise ValueError(f"AES key must be 16, 24, or 32 bytes, got {len(key)}")
+    if not _BUILT:
+        _build_tables()
     nk = len(key) // 4
     rounds = {4: 10, 6: 12, 8: 14}[nk]
     words = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]

@@ -14,9 +14,10 @@ of both and the switches that select them:
   live) — ``benchmarks/bench_throughput.py`` runs both sides in the same
   process and reports the speedup, and the equivalence tests assert
   identical output either way.
-* :func:`execute` (:mod:`repro.fastpath.engine`) — the one place that
-  chooses how :meth:`repro.sim.TimingSimulator.run` is served. Every run
-  is a walk, then a replay through one clock
+* :func:`execute` (:mod:`repro.fastpath.engine`, imported on first
+  use) — the one place that chooses how
+  :meth:`repro.sim.TimingSimulator.run` is served. Every run is a walk,
+  then a replay through one clock
   (:mod:`repro.fastpath.compiled`). The **memoized replay** replays a
   lowering of the ``Trace`` into typed arrays plus a recorded traffic
   program, memoized on the trace and reused by every run that shares
@@ -47,6 +48,8 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+
+from .._lazy import lazy_exports
 
 _FORCED: bool | None = None
 _FALSEY = ("0", "off", "false", "no")
@@ -159,7 +162,11 @@ def forced(state: bool):
         _FORCED = previous
 
 
-from .engine import execute  # noqa: E402  (the gate above must exist first)
+# ``execute`` loads the lowering and numpy, which the functional datapath
+# (a reader of the gate alone) never needs: it is imported on first use
+# and then bound here, so ``fastpath.execute`` is still looked up at call
+# time and can still be patched.
+__getattr__ = lazy_exports(__name__, {"execute": ".engine"})
 
 __all__ = [
     "ENGINES",

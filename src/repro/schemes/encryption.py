@@ -57,7 +57,6 @@ class AiseScheme(PagedCounterScheme):
             machine.encryption_key,
             memory=machine.memory,
             counter_base=machine.layout.counter_base,
-            data_bytes=machine.layout.data_bytes,
             gpc=machine.gpc,
             fast_crypto=machine.fast_crypto,
             seed_audit=seed_audit,
@@ -85,7 +84,6 @@ class SplitCounterScheme(AiseScheme):
             machine.encryption_key,
             memory=machine.memory,
             counter_base=machine.layout.counter_base,
-            data_bytes=machine.layout.data_bytes,
             fast_crypto=machine.fast_crypto,
             seed_audit=seed_audit,
         )

@@ -23,10 +23,21 @@ warm-pool soundness rules, and the tenancy model;
 tiers against the committed ``BENCH_service.json``.
 """
 
-from .cache import LruResultTier, SingleFlight
-from .client import ServiceClient, ServiceError, ServiceHandle, serve_background
-from .server import SweepService
-from .warmpool import TraceStore, WarmMachinePool
+from .._lazy import lazy_exports
+
+# Resolved on first use: a client (``repro submit``) needs only the
+# socket client and the schema, not the server's evaluation stack.
+__getattr__ = lazy_exports(__name__, {
+    "LruResultTier": ".cache",
+    "SingleFlight": ".cache",
+    "ServiceClient": ".client",
+    "ServiceError": ".client",
+    "ServiceHandle": ".client",
+    "serve_background": ".client",
+    "SweepService": ".server",
+    "TraceStore": ".warmpool",
+    "WarmMachinePool": ".warmpool",
+})
 
 __all__ = [
     "LruResultTier",
