@@ -32,6 +32,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_throughput.py [--events N]
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import platform
 import statistics
@@ -118,11 +119,16 @@ def _timing_cold_accesses_per_sec(preset: str, trace,
     served request starts cold — and the one where the compiled trace
     replay engages for the schemes it serves. The trace's lowering is
     memoized across runs, exactly as a sweep replays it across cells.
+    Each run takes a new stall overlap, so each is a new timing point
+    and the replay runs the whole clock: a recorded clock run would
+    answer a repeat at one point without it (see ``ClockRun`` in
+    :mod:`repro.fastpath.compiled`).
     """
     config = build_machine(preset, boot=False).config
+    overlaps = itertools.count()
 
     def timed(gate):
-        sim = TimingSimulator(config)
+        sim = TimingSimulator(config, overlap=0.5 + next(overlaps) * 1e-4)
         start = time.perf_counter()
         sim.run(trace)
         return len(trace) / (time.perf_counter() - start)

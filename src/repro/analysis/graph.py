@@ -170,14 +170,20 @@ def _collect_imports(module: ModuleInfo) -> None:
             target = node.module or ""
             if node.level:  # relative: resolve against this module's package
                 base = module.module_name.split(".")
-                # level 1 strips the module's own name, each extra level one more.
-                base = base[: len(base) - node.level]
+                # Level 1 is the module's own package: a package
+                # ``__init__`` is named after its package, a plain module
+                # strips its own name. Each extra level strips one more.
+                strip = node.level - (module.logical.endswith("__init__.py"))
+                base = base[: len(base) - strip]
                 target = ".".join(base + ([target] if target else []))
             for alias in node.names:
                 dotted = f"{target}.{alias.name}" if target else alias.name
                 module.aliases[alias.asname or alias.name] = dotted
                 if target == "repro" or target.startswith("repro."):
-                    module.repro_imports.add(target)
+                    # ``from pkg import name`` with no module names what
+                    # it imports: a submodule, or a name of pkg's __init__.
+                    module.repro_imports.add(dotted if node.module is None
+                                             else target)
 
 
 def _collect_functions(module: ModuleInfo) -> None:

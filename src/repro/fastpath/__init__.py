@@ -85,7 +85,7 @@ class EngineTelemetry:
 
     __slots__ = ("compiled", "reference", "fallbacks",
                  "lowering_hits", "lowering_misses", "lowering_staged",
-                 "last_engine", "last_reason")
+                 "clock_hits", "clock_records", "last_engine", "last_reason")
 
     def __init__(self):
         self.compiled = 0
@@ -97,6 +97,10 @@ class EngineTelemetry:
         # Lowerings built by the set-parallel staged route (the rest of
         # the misses took the sequential walk).
         self.lowering_staged = 0
+        # Memoized replays served from a recorded clock run, and clock
+        # runs recorded (see ``repro.fastpath.compiled.ClockRun``).
+        self.clock_hits = 0
+        self.clock_records = 0
         self.last_engine: str | None = None
         self.last_reason: str | None = None
 
@@ -123,6 +127,13 @@ class EngineTelemetry:
     def record_staged_lowering(self) -> None:
         """One lowering built by the staged route (see ``lower``)."""
         self.lowering_staged += 1
+
+    def record_clock(self, hit: bool) -> None:
+        """One probe of a lowering's clock memo: a hit, or a record."""
+        if hit:
+            self.clock_hits += 1
+        else:
+            self.clock_records += 1
 
     @property
     def runs(self) -> int:

@@ -25,7 +25,10 @@ memoizes the lowering on the :class:`~repro.sim.trace.Trace` keyed by
 the traffic-shaping geometry — so sweeps that vary only timing knobs
 replay one artifact — and installs the recorded final contents
 afterwards (deferred, see
-:meth:`~repro.mem.cache.SetAssociativeCache.restore_state`). A **live
+:meth:`~repro.mem.cache.SetAssociativeCache.restore_state`). The
+warmup never moves the clock, so a memoized lowering's second replay
+at a timing point records its clock run (:class:`ClockRun`), and a
+later replay at that point settles any warmup from the record. A **live
 run** (:func:`execute_live`) serves everything else: it walks the
 simulator's own caches, is never memoized and installs nothing.
 
@@ -49,8 +52,9 @@ per-key tables with NumPy.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -65,6 +69,7 @@ from .walk import (
 )
 
 _MEMO_CAPACITY = 2  # lowerings kept per Trace (sweeps replay one)
+_CLOCK_CAPACITY = 2  # timing points kept per lowering
 
 # The staged route's L2-stage memo, an attribute of the Trace it lowers.
 L2_STAGE_MEMO = "_l2_stage"
@@ -127,7 +132,10 @@ class CompiledTrace:
     measured miss's obs emissions for a traced replay, and ``tail``, the
     deferred queue's end-of-run drain (see :func:`lower_sequential`).
     Immutable after it is built; the ``prog`` binding memo caches the
-    replay program per pair of bus transfer durations.
+    replay program per pair of bus transfer durations, and the clock
+    memo ``_clocks`` maps each timing point replayed to None, then, from
+    its second replay on, to its recorded :class:`ClockRun`.
+    ``miss_flags`` holds one byte per event, 1 for a miss.
     """
 
     __slots__ = (
@@ -144,6 +152,7 @@ class CompiledTrace:
         "final_node",
         "records",
         "tail",
+        "_clocks",
         "_prog_memo",
     )
 
@@ -163,30 +172,35 @@ class CompiledTrace:
         self.final_node = final_node
         self.records = records
         self.tail = tail
+        self._clocks = {}
         self._prog_memo = {}
 
     @property
     def misses(self) -> int:
         return len(self.key_idx)
 
-    def prog(self, full_dur: int, frac_dur: int) -> list:
-        """The per-miss replay program ``(rest_durations, stall, ifetch)``.
+    def key_programs_for(self, full_dur: int, frac_dur: int) -> list:
+        """Per key, its replay program ``(rest_durations, stall, ifetch)``.
 
-        ``rest_durations`` is the event's bus transfers after the demand
-        fetch, as duration tuples (interned per pattern); ``stall`` marks
-        a demand counter-read miss (the counter fetch is then always the
-        first rest transfer); ``ifetch`` marks a nonzero integrity fetch
-        count for precise verification. One tuple is built per key; the
-        list holds, for each miss, its key's tuple.
+        ``rest_durations`` is the key's bus transfers after the demand
+        fetch, as a duration tuple (interned per pattern); ``stall``
+        marks a demand counter-read miss (the counter fetch is then always
+        the first rest transfer); ``ifetch`` marks a nonzero integrity
+        fetch count for precise verification.
         """
+        durs = _durations(full_dur, frac_dur)
+        pattern_durs = [tuple(map(durs.__getitem__, pattern))
+                        for pattern in self.pattern_list]
+        return [(pattern_durs[pattern], stall, ifetch)
+                for pattern, stall, ifetch in self.key_programs]
+
+    def prog(self, full_dur: int, frac_dur: int) -> list:
+        """The per-miss replay program: for each miss, its key's
+        :meth:`key_programs_for` tuple (one tuple is built per key)."""
         key = (full_dur, frac_dur)
         cached = self._prog_memo.get(key)
         if cached is None:
-            durs = _durations(full_dur, frac_dur)
-            pattern_durs = [tuple(map(durs.__getitem__, pattern))
-                            for pattern in self.pattern_list]
-            programs = [(pattern_durs[pattern], stall, ifetch)
-                        for pattern, stall, ifetch in self.key_programs]
+            programs = self.key_programs_for(full_dur, frac_dur)
             cached = list(map(programs.__getitem__, self.key_idx.tolist()))
             self._prog_memo[key] = cached
         return cached
@@ -310,12 +324,12 @@ def lower_sequential(sim, trace, sample_period: int, lo: int = 0,
             records.append((None, None, items.copy()))
     walk.close()
     n = hi - lo
-    flags = np.zeros(n, dtype=np.int64)
+    flags = np.zeros(n, dtype=np.uint8)
     flags[miss_events] = 1
     node_cache = sim.node_cache
     return CompiledTrace(
         n=n,
-        miss_flags=flags.tolist(),
+        miss_flags=flags.tobytes(),
         **_assemble(list(key_ids), key_idx, walk.tree_is_l2),
         ticks=np.asarray(ticks, dtype=np.int64).reshape(len(ticks), 5),
         final_l2=None if live else (walk.l2_sets, walk.l2_classes),
@@ -600,14 +614,14 @@ def lower_staged(sim, trace, sample_period: int) -> CompiledTrace:
     intern[in_order] = np.arange(len(in_order))
     keys = [_staged_key(code, uses_cc, mac_reads) for code in in_order.tolist()]
 
-    flags = np.zeros(n, dtype=np.int64)
+    flags = np.zeros(n, dtype=np.uint8)
     flags[miss_events] = 1
     node_cache = sim.node_cache
     ticks = np.zeros((n // sample_period, 5), dtype=np.int64)
     ticks[:, 0] = sim.l2.num_lines  # data lines plus free ones, always
     return CompiledTrace(
         n=n,
-        miss_flags=flags.tolist(),
+        miss_flags=flags.tobytes(),
         **_assemble(keys, intern[codes], True),
         ticks=ticks,
         final_l2=PackedSets(stage.contents, DATA).snapshot(),
@@ -732,8 +746,109 @@ def _run_segment(events, prog, mp, now, bf, queue, exposed,
     return mp, now, bf, queue, exposed
 
 
+class ClockRun:
+    """A memoized lowering's clock run at one timing point, recorded.
+
+    The clock's path (the event clock ``now``, the bus-free time and the
+    miss pointer) depends only on the lowering, the trace's clock
+    increments and the timing parameters. The warmup only picks where
+    the bus-queue and exposed-decryption sums restart and settlement
+    begins. So one full replay, recorded through :func:`_run_segment`'s
+    ``hooks`` seam, serves every warmup at its timing point
+    (:meth:`view`) without running the clock again. The record keeps,
+    per miss, its event clock and the bus start of its demand fetch
+    (16 B), and the run's end state ``(now, bf)``.
+    """
+
+    __slots__ = ("now", "start", "end")
+
+    def __init__(self):
+        self.now = array("d")
+        self.start = array("d")
+        self.end = None
+
+    def miss(self, now, start, extra):
+        self.now.append(now)
+        self.start.append(start)
+
+    def retire(self, now, raw, step):
+        pass
+
+    def close(self, now: float, bf: float) -> "ClockRun":
+        self.now = np.frombuffer(self.now)
+        self.start = np.frombuffer(self.start)
+        self.end = (now, bf)
+        return self
+
+    def view(self, artifact, boundary: int, pres, full_dur: int,
+             frac_dur: int, timing: tuple) -> tuple:
+        """``(first, measured_from, queue, exposed)`` for a warmup of
+        ``boundary`` events: the first measured miss, the clock at the
+        boundary, and the bus-queue and exposed-decryption sums over the
+        measured misses.
+
+        The clock at the boundary comes from :func:`_run_segment` over
+        the last warmup miss and the hits after it. The sums re-derive
+        each measured miss's increments from its recorded event clock and
+        start and its key's transfer durations, in the clock's order, and
+        add them with ``np.add.accumulate``, which is sequential and so
+        rounds exactly as the clock's running sums do.
+        """
+        flags = artifact.miss_flags
+        first = flags.count(1, 0, boundary)
+        if first:
+            # Resume at the last warmup miss: its recorded event clock
+            # already holds its increment, and a bus-free time equal to
+            # its recorded start gives that start back.
+            at = flags.rindex(1, 0, boundary)
+            events = chain(((0.0, 1),),
+                           zip(pres[at + 1:boundary], flags[at + 1:boundary]))
+            now = float(self.now[first - 1])
+            bf = float(self.start[first - 1])
+        else:
+            events = zip(pres[:boundary], flags[:boundary])  # hits only
+            now = bf = 0.0
+        _, measured_from, _, _, _ = _run_segment(
+            events, artifact.prog(full_dur, frac_dur), first - 1 if first else 0,
+            now, bf, 0.0, 0.0, *timing)
+        if first == artifact.misses:
+            return first, measured_from, 0.0, 0.0
+
+        _, mem_latency, aes_latency, _, _, _, uses_cc, serial_decrypt, _ = timing
+        programs = artifact.key_programs_for(full_dur, frac_dur)
+        width = max(len(durs) for durs, _, _ in programs)
+        by_position = np.zeros((width, len(programs)))  # key durations, by slot
+        for key, (durs, _, _) in enumerate(programs):
+            by_position[:len(durs), key] = durs
+        keys = artifact.key_idx[first:]
+        lengths = np.array([len(durs) for durs, _, _ in programs])[keys]
+        stalled = np.array([stall for _, stall, _ in programs], dtype=bool)[keys]
+        now = self.now[first:]
+        start = self.start[first:]
+
+        # Per miss, its demand fetch's wait and then one per further
+        # transfer, back to back on the bus, laid out in clock order. A
+        # pass per transfer slot advances the misses that have one.
+        base = np.cumsum(lengths + 1) - (lengths + 1)  # each miss's first wait
+        waits = np.empty(len(keys) + int(lengths.sum()))
+        waits[base] = start - now
+        bf = start + full_dur
+        stall = ((bf + mem_latency) + aes_latency) - (start + mem_latency)
+        rows = np.arange(len(keys))
+        for slot, durations in enumerate(by_position):
+            more = lengths[rows] > slot
+            rows, bf = rows[more], bf[more]
+            waits[base[rows] + slot + 1] = bf - now[rows]
+            bf = bf + durations[keys[rows]]
+        queue = np.add.accumulate(waits)[-1]
+        unstalled = 0.0 if uses_cc or not serial_decrypt else float(aes_latency)
+        extra = np.where(stalled, np.where(stall > 0.0, stall, 0.0), unstalled)
+        exposed = np.add.accumulate(extra)[-1]
+        return first, measured_from, float(queue), float(exposed)
+
+
 def _replay(sim, trace, warmup: float, sample_period: int, lowered,
-            hooks=None, drain: bool = False) -> tuple:
+            hooks=None, drain: bool = False, clocks: dict | None = None) -> tuple:
     """Replay ``trace`` through ``sim``'s clock and settle its statistics.
 
     The one path every run takes. ``lowered(lo, hi, record, drain)``
@@ -745,8 +860,10 @@ def _replay(sim, trace, warmup: float, sample_period: int, lowered,
     replays a deferred tree's end-of-run drain before the final sample.
     Integer tallies are credited per chunk; the float sums (bus queue
     cycles, exposed decryption) are the clock's running totals, assigned
-    whole, so every sample is exact. Returns ``(now, measured_from,
-    measured_instructions)``.
+    whole, so every sample is exact. ``clocks``, the memoized lowering's
+    clock memo, serves a recorded timing point from its
+    :class:`ClockRun`, records a point's second replay and notes its
+    first. Returns ``(now, measured_from, measured_instructions)``.
     """
     n = len(trace)
     l2 = sim.l2
@@ -756,11 +873,20 @@ def _replay(sim, trace, warmup: float, sample_period: int, lowered,
     timing = (full_dur, sim.mem_latency, sim.aes_latency, sim.mac_latency,
               sim.l2_hit_latency, sim.overlap, sim.uses_counter_cache,
               sim._serial_decrypt, sim._verify_on_path)
-    pres = iter(trace.pres(sim.issue_width))
+    pres = trace.pres(sim.issue_width)
     now, bf, queue, exposed = 0.0, bus.free_at, 0.0, 0.0
     artifact = flags = prog = None
     mp = 0
     ticks = np.zeros((0, 5), dtype=np.int64)  # occupancy rows so far
+    clock = recorder = None
+    if clocks is not None:
+        point = (sim.issue_width, frac_dur, bf, *timing)
+        if point in clocks:  # a repeat: record the clock run, or reuse it
+            clock = clocks[point]
+            if clock is None:
+                recorder = ClockRun()
+            sim.engine_telemetry.record_clock(clock is not None)
+    increments = iter(pres)
 
     def replay(lo, hi, armed, tail=False):
         nonlocal artifact, flags, prog, mp, ticks, now, bf, queue, exposed
@@ -773,16 +899,24 @@ def _replay(sim, trace, warmup: float, sample_period: int, lowered,
                 armed.records = iter(artifact.records)
         first = mp
         mp, now, bf, queue, exposed = _run_segment(
-            zip(islice(pres, hi - lo), flags), prog, mp, now, bf, queue,
-            exposed, *timing, armed,
+            zip(islice(increments, hi - lo), flags), prog, mp, now, bf, queue,
+            exposed, *timing, armed if recorder is None else recorder,
             artifact.tail_program(full_dur, frac_dur) if tail else ())
         return first
 
     boundary = min(int(n * warmup), n)
-    if boundary:
-        replay(0, boundary, None)
-    measured_from = now
-    queue = exposed = 0.0
+    if clock is not None:
+        artifact = lowered(0, n, False, False)
+        ticks = artifact.ticks
+        first, measured_from, queue, exposed = clock.view(
+            artifact, boundary, pres, full_dur, frac_dur, timing)
+        mp = artifact.misses
+        now, bf = clock.end
+    else:
+        if boundary:
+            replay(0, boundary, None)
+        measured_from = now
+        queue = exposed = 0.0
     kinds = np.zeros(_N_KINDS, dtype=np.int64)  # measured transfers by kind
     busy = 0
     settled_ticks = boundary // sample_period
@@ -819,7 +953,8 @@ def _replay(sim, trace, warmup: float, sample_period: int, lowered,
         cuts = [*range(boundary + armed.interval, n, armed.interval), n]
     lo = boundary
     for hi in cuts if boundary < n else ():
-        first = replay(lo, hi, armed)
+        if clock is None:
+            first = replay(lo, hi, armed)
         # A sample comes before the occupancy tick after its last event.
         settle(first, hi - lo, n // sample_period if armed is None
                else (hi - 1) // sample_period)
@@ -836,6 +971,15 @@ def _replay(sim, trace, warmup: float, sample_period: int, lowered,
         settle(mp, 0, n // sample_period)
     if armed is not None:
         armed.sample(now, n - boundary)  # the final sample: the aggregate
+    if recorder is not None:
+        clocks[point] = recorder.close(now, bf)
+    elif clocks is not None and clock is None:
+        # A first replay at this point runs unrecorded: a lowering
+        # replayed once per point (a sweep's cells, a sweep of timing
+        # parameters) never pays for a record.
+        while len(clocks) >= _CLOCK_CAPACITY:
+            clocks.pop(next(iter(clocks)))
+        clocks[point] = None
 
     measured_instructions = (int(trace.gaps[boundary:].sum(dtype=np.int64))
                              + n - boundary)
@@ -862,7 +1006,8 @@ def execute_compiled(sim, trace, warmup: float, sample_period: int):
     """
     artifact = compiled_for(sim, trace, sample_period)
     result = _replay(sim, trace, warmup, sample_period,
-                     lambda lo, hi, record, drain: artifact)
+                     lambda lo, hi, record, drain: artifact,
+                     clocks=artifact._clocks)
     sim.l2.restore_state(*artifact.final_l2)
     sim.counter_cache.restore_state(*artifact.final_cc)
     if sim.node_cache is not None:

@@ -1,17 +1,11 @@
-"""Memory-hierarchy substrate: geometry, caches, bus, and DRAM models."""
+"""Memory-hierarchy substrate: geometry, caches, bus, and DRAM models.
 
-from .bus import DEFAULT_CYCLES_PER_BLOCK, BusStats, MemoryBus
-from .cache import (
-    CODE,
-    COUNTER,
-    DATA,
-    LINE_CLASSES,
-    MAC,
-    MERKLE,
-    CacheStats,
-    Eviction,
-    SetAssociativeCache,
-)
+The bus and cache models serve the timing simulator only; a functional
+machine, which imports :mod:`repro.mem.layout`, never loads them. They
+are imported on first use.
+"""
+
+from .._lazy import lazy_exports
 from .dram import BlockMemory, DramTiming
 from .layout import (
     BLOCK_SIZE,
@@ -29,6 +23,14 @@ from .layout import (
     page_index,
     page_offset,
 )
+
+__getattr__ = lazy_exports(__name__, {
+    **dict.fromkeys(("DEFAULT_CYCLES_PER_BLOCK", "BusStats", "MemoryBus"),
+                    ".bus"),
+    **dict.fromkeys(("CODE", "COUNTER", "DATA", "LINE_CLASSES", "MAC",
+                     "MERKLE", "CacheStats", "Eviction",
+                     "SetAssociativeCache"), ".cache"),
+})
 
 __all__ = [
     "MemoryBus",

@@ -109,6 +109,9 @@ def register_engine_telemetry(registry, sim, prefix: str = "engine"):
     memo.bind("misses", lambda: sim.engine_telemetry.lowering_misses)
     memo.bind("staged", lambda: sim.engine_telemetry.lowering_staged)
     memo.bind("hit_rate", lambda: sim.engine_telemetry.lowering_hit_rate)
+    clock = scope.scoped("clock_memo")
+    clock.bind("hits", lambda: sim.engine_telemetry.clock_hits)
+    clock.bind("records", lambda: sim.engine_telemetry.clock_records)
     return scope
 
 

@@ -187,3 +187,53 @@ class TestImports:
         layers = graph.package_layers()
         assert layers[0] == ["core"]
         assert layers[1] == ["osmodel"]
+
+
+class TestPackageInitImports:
+    """A relative import inside a package ``__init__`` resolves against
+    that package, not its parent."""
+
+    SOURCES = (
+        ("__init__.py", ""),
+        ("_lazy.py", "X = 1\n"),
+        ("core/__init__.py", "from .machine import Machine\n"),
+        ("core/machine.py", "class Machine:\n    pass\n"),
+        ("fastpath/__init__.py", "from .._lazy import X\n"),
+        (
+            "api/__init__.py",
+            """
+            from ..core import Machine
+            from .. import fastpath
+            from . import schema
+            """,
+        ),
+        ("api/schema.py", "from .. import core\n"),
+    )
+
+    def test_from_parent_package(self):
+        graph = build(*self.SOURCES)
+        api = graph.modules["api/__init__.py"]
+        assert api.aliases["Machine"] == "repro.core.Machine"
+        assert "repro.core" in api.repro_imports
+
+    def test_from_package_names_the_submodule(self):
+        graph = build(*self.SOURCES)
+        api = graph.modules["api/__init__.py"]
+        assert api.aliases["fastpath"] == "repro.fastpath"
+        assert "repro.fastpath" in api.repro_imports
+        assert "repro" not in api.repro_imports
+        assert graph.module_imports()["api/__init__.py"] == {
+            "core/__init__.py", "fastpath/__init__.py", "api/schema.py"}
+
+    def test_own_package_from_init_and_module(self):
+        graph = build(*self.SOURCES)
+        edges = graph.module_imports()
+        assert edges["core/__init__.py"] == {"core/machine.py"}
+        assert edges["fastpath/__init__.py"] == {"_lazy.py"}
+        assert edges["api/schema.py"] == {"core/__init__.py"}
+
+    def test_layers(self):
+        graph = build(*self.SOURCES)
+        assert graph.package_imports()["api"] == {"core", "fastpath"}
+        assert graph.package_imports()["fastpath"] == {"<root>"}
+        assert graph.package_layers()[:2] == [["<root>", "core"], ["fastpath"]]

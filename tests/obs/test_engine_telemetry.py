@@ -9,6 +9,7 @@ snapshots, Prometheus exposition, and progress records all read the
 same attribution.
 """
 
+import pickle
 from contextlib import nullcontext
 
 import pytest
@@ -76,6 +77,13 @@ class TestEngineTelemetryObject:
         t.record_staged_lowering()
         assert t.lowering_staged == 1
         assert t.lowering_hits + t.lowering_misses == 0
+
+    def test_clock_probes(self):
+        t = EngineTelemetry()
+        t.record_clock(False)
+        t.record_clock(True)
+        t.record_clock(True)
+        assert (t.clock_records, t.clock_hits) == (1, 2)
 
 
 class TestRunAttribution:
@@ -151,6 +159,50 @@ class TestLoweringMemo:
         assert t.lowering_hit_rate == 1.0
 
 
+class TestClockMemo:
+    """``clock_records``/``clock_hits``: a lowering's second replay records
+    its clock run, and a later replay at that timing point reads it."""
+
+    def test_third_run_at_a_new_warmup_is_a_hit(self):
+        sim = fresh_sim()
+        trace = resident_trace(3000)
+        for warmup in (0.25, 0.25, 0.4):
+            sim.run(trace, label="aise+bmt", warmup=warmup)
+            sim.reset_cold()
+        t = sim.engine_telemetry
+        assert (t.compiled, t.clock_records, t.clock_hits) == (3, 1, 1)
+        snap = sim.registry.snapshot()
+        assert snap["engine.clock_memo.records"] == 1
+        assert snap["engine.clock_memo.hits"] == 1
+
+    def test_gauges_kept_out_of_results(self):
+        sim = fresh_sim()
+        trace = resident_trace(3000)
+        for warmup in (0.25, 0.3, 0.35):
+            result = sim.run(trace, label="aise+bmt", warmup=warmup,
+                             collect_metrics=True)
+            sim.reset_cold()
+        assert sim.engine_telemetry.clock_hits == 1
+        assert result.metrics
+        assert not any(name.startswith("engine.") for name in result.metrics)
+
+    def test_an_obs_session_never_consults_the_memo(self):
+        sim = fresh_sim()
+        trace = resident_trace(3000)
+        for _ in range(2):  # a first replay, then a recorded one
+            sim.run(trace, label="aise+bmt")
+            sim.reset_cold()
+        with obs.observed():
+            traced = sim.run(trace, label="aise+bmt", warmup=0.4)
+        t = sim.engine_telemetry
+        assert (t.last_engine, t.last_reason) == (fastpath.ENGINE_REFERENCE,
+                                                  "obs_session")
+        assert (t.clock_records, t.clock_hits) == (1, 0)
+        fresh = fresh_sim().run(pickle.loads(pickle.dumps(trace)),
+                                label="aise+bmt", warmup=0.4)
+        assert traced.to_dict() == fresh.to_dict()
+
+
 class TestStagedLowering:
     """``lowering_staged`` says how each lowering was built: once per
     lowering on the staged route, never per event, never on a memo hit."""
@@ -192,6 +244,8 @@ class TestRegistryExposure:
         assert snap["engine.lowering_memo.misses"] + snap["engine.lowering_memo.hits"] == 1
         assert snap["engine.lowering_memo.staged"] == 0  # aise+bmt walks a tree
         assert 0.0 <= snap["engine.lowering_memo.hit_rate"] <= 1.0
+        assert snap["engine.clock_memo.records"] == 0  # replayed once
+        assert snap["engine.clock_memo.hits"] == 0
 
     def test_telemetry_survives_warmup_stats_reset(self):
         # registry.reset() only zeroes push-model metrics; the telemetry

@@ -11,11 +11,14 @@ requests come back as error envelopes instead of dropped connections.
 import asyncio
 import json
 import threading
+from unittest import mock
 
 import pytest
 
 from repro import api
 from repro.api import schema
+from repro.core import sanitizer
+from repro.fastpath import EngineTelemetry
 from repro.obs.fleet import MemoryProgressSink, validate_progress_records
 from repro.service import ServiceError, serve_background
 from repro.service.server import _READ_LIMIT, _read_line
@@ -306,3 +309,38 @@ class TestShutdown:
             client.shutdown()
         handle.thread.join(timeout=10)
         assert not handle.thread.is_alive()
+
+
+class TestClockMemo:
+    @pytest.fixture(autouse=True)
+    def _sanitizer_disarmed(self):
+        """A clock hit needs the memoized replay, which an armed sanitizer
+        (``REPRO_SANITIZE=1``) passes over for a live run."""
+        previous = sanitizer.active()
+        sanitizer.disarm()
+        yield
+        if previous is not None:
+            sanitizer.arm(previous)
+
+    def test_a_new_warmup_is_a_clock_hit(self):
+        """After a first request (the lowering and its first replay), two
+        requests that differ only in warmup: the first records the clock
+        run, the second reads it, and both equal the facade's cold call."""
+        probes = []
+        record_clock = EngineTelemetry.record_clock
+
+        def spy(telemetry, hit):
+            probes.append(hit)
+            record_clock(telemetry, hit)
+
+        knobs = dict(workload="twolf", config="aise+bmt", events=EVENTS)
+        with mock.patch.object(EngineTelemetry, "record_clock", spy), \
+                serve_background() as handle, handle.client() as client:
+            client.simulate(**knobs)
+            bodies = [client.simulate(**knobs, warmup=warmup)
+                      for warmup in (0.3, 0.4)]
+        assert probes == [False, True]
+        for body, warmup in zip(bodies, (0.3, 0.4)):
+            cold = api.simulate("twolf", "aise+bmt", events=EVENTS,
+                                warmup=warmup, label="aise+bmt")
+            assert body["result"] == cold.to_dict()

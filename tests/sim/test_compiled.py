@@ -22,6 +22,7 @@ and a traced run whose events and samples must be the oracle's.
 """
 
 import dataclasses
+import json
 import pickle
 from unittest import mock
 
@@ -648,6 +649,85 @@ class TestDifferential:
             want = traced(oracle_sim, trace, lambda s, t: clock_oracle.run(
                 s, t, warmup=warmup, collect_metrics=True), interval)
             assert got == want
+
+
+# Clock-memo cells: the staged and sequential routes, serial decrypt
+# (``direct``) and precise verification's path-dependent retire step.
+_CLOCK_CELLS = {
+    **{name: (name, {}) for name in ("base", "aise", "aise+bmt", "direct",
+                                     "direct+mt", "global64+mt")},
+    "aise+bmt/precise": ("aise+bmt", {"precise_verification": True}),
+}
+_WARMUPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def as_bytes(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+class TestClockMemo:
+    """Warmup is a view of one clock run: the second replay of a lowering
+    at one timing point records its clock run, and a later replay there
+    reads its statistics from the record."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace=small_traces(), cell=st.sampled_from(sorted(_CLOCK_CELLS)),
+           caches=st.sampled_from(sorted(_CACHES)),
+           overlap=st.sampled_from([0.25, 0.7, 1.0]),
+           warmups=st.tuples(_WARMUPS, _WARMUPS, _WARMUPS))
+    def test_record_and_hit_equal_a_fresh_simulator(self, trace, cell, caches,
+                                                    overlap, warmups):
+        """Run (the point's first replay), ``reset_cold()``, run (a
+        record), ``reset_cold()``, run (a hit): the second and third
+        results are byte-equal to a fresh simulator's on a fresh copy of
+        the trace (a first replay)."""
+        preset, overrides = _CLOCK_CELLS[cell]
+        config = MachineConfig.preset(preset, **overrides, **_CACHES[caches])
+        sim = TimingSimulator(config, overlap=overlap)
+        got = []
+        with fastpath.forced(True):
+            for warmup in warmups:
+                got.append(as_bytes(sim.run(trace, warmup=warmup)))
+                sim.reset_cold()
+            want = [as_bytes(TimingSimulator(config, overlap=overlap).run(
+                        pickle.loads(pickle.dumps(trace)), warmup=warmup))
+                    for warmup in warmups[1:]]
+        telemetry = sim.engine_telemetry
+        assert telemetry.compiled == 3
+        assert (telemetry.clock_records, telemetry.clock_hits) == (1, 1)
+        assert got[1:] == want
+
+    def test_a_timing_point_records_on_its_second_replay(self):
+        """A point's first replay is only noted, its second records and a
+        later one hits; the memo keeps two points, oldest out."""
+        trace = random_trace(events=1500, seed=19)
+        sim = TimingSimulator(MachineConfig.preset("aise+bmt"))
+        probes = []
+        for overlap in (0.7, 0.8, 0.7, 0.8, 0.7, 0.9, 0.7):
+            sim.overlap = overlap
+            sim.run(trace, warmup=0.3)
+            sim.reset_cold()
+            probes.append((sim.engine_telemetry.clock_records,
+                           sim.engine_telemetry.clock_hits))
+        # 0.9 evicts 0.7's record, so 0.7 starts over.
+        assert probes == [(0, 0), (0, 0), (1, 0), (2, 0), (2, 1), (2, 1),
+                          (2, 1)]
+        artifact, = trace.__dict__["_compiled"].values()
+        assert len(artifact._clocks) == compiled._CLOCK_CAPACITY == 2
+        assert list(artifact._clocks.values()) == [None, None]
+
+    def test_one_replay_per_timing_point_records_nothing(self):
+        """A sweep of timing parameters over one lowering replays each
+        point once: no record, no hit."""
+        trace = random_trace(events=800, seed=23)
+        sim = TimingSimulator(MachineConfig.preset("aise"))
+        for latency in (150, 200, 250):
+            sim.mem_latency = latency
+            sim.run(trace)
+            sim.reset_cold()
+        assert sim.engine_telemetry.compiled == 3
+        assert (sim.engine_telemetry.clock_records,
+                sim.engine_telemetry.clock_hits) == (0, 0)
 
 
 class TestSecurityPath:

@@ -19,7 +19,7 @@ import repro
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 # The timing model and what only it needs.
 TIMING = ("numpy", "repro.sim", "repro.fastpath.compiled", "repro.fastpath.engine",
-          "repro.evalx", "repro.workloads")
+          "repro.evalx", "repro.workloads", "repro.mem.bus", "repro.mem.cache")
 REPORT = "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
 
 
@@ -100,3 +100,11 @@ def test_aes_tables_are_built_on_first_use():
               "assert 'SBOX' not in vars(aes)\n"
               "aes.AES(bytes(16))\n"
               "assert 'SBOX' in vars(aes) and '_MUL14' in vars(aes)\n")
+
+
+def test_the_memory_package_serves_bus_and_cache_on_first_use():
+    loaded_by("import sys\nimport repro.mem as mem\n"
+              "assert 'repro.mem.bus' not in sys.modules\n"
+              "assert mem.MemoryBus.__module__ == 'repro.mem.bus'\n"
+              "assert mem.SetAssociativeCache.__module__ == 'repro.mem.cache'\n"
+              "exec('from repro.mem import *')\n")
