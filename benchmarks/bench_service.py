@@ -16,10 +16,10 @@ cold-process floor:
 * ``warm_service`` — same machine fingerprint, new result key (the
   warmup knob is perturbed per request so no cache tier can answer):
   the pooled cold-reset machine and the shared pre-lowered trace serve
-  it. The warmup never moves the clock: the first such request records
-  the clock run at its timing point (the cold request was that point's
-  first replay), and from the second on the record answers (a
-  clock-memo hit: settlement only, see ``docs/timing-model.md``).
+  it. The warmup never moves the clock: an untimed request records the
+  clock run at its timing point (the cold request was that point's
+  first replay), and the record answers every timed one (a clock-memo
+  hit: settlement only, see ``docs/timing-model.md``).
 * ``replay_service`` — the stall overlap is perturbed per request
   instead: a new timing point, so a fresh machine runs the whole clock
   over the shared lowering. The price of a real replay.
@@ -28,10 +28,13 @@ cold-process floor:
 
 The ratios (``cold_process`` over ``warm_service`` / ``replay_service``
 / ``lru_hit``) are the service's reason to exist and the committed
-regression surface: ``--check`` fails if a ratio regressed more than
-``--tolerance`` against the committed ``BENCH_service.json``, or if any
-of them falls below the 5x acceptance floor. A faster cold start lowers both by
-construction; ``cold_process_over_interpreter`` prices the cold start
+regression surface. Each repeat is one alternation (a cold process, a
+bare interpreter, then one request per service tier), and each ratio is
+the median of the per-alternation ratios, so a slow spell of a shared
+host lands on both of its sides. ``--check`` fails if a ratio regressed
+more than ``--tolerance`` against the committed ``BENCH_service.json``,
+or if any of them falls below the 5x acceptance floor. A faster cold
+start lowers them by construction; ``cold_process_over_interpreter`` prices the cold start
 itself in bare interpreter starts, and ``--check`` fails if it rose
 more than ``--tolerance``. Absolute latencies are machine-specific;
 the ratios are comparable anywhere.
@@ -79,55 +82,60 @@ def _process_s(command: list[str]) -> float:
     return elapsed
 
 
-def _cold_process_ms(events: int, repeats: int) -> tuple[float, float]:
-    """One cell via a fresh interpreter (the no-service dispatch cost)
-    and a bare interpreter start, medians of alternating runs."""
-    cell = [sys.executable, "-m", "repro", "simulate",
-            "--benchmark", WORKLOAD, "--events", str(events), "--json"]
-    bare = [sys.executable, "-c", "pass"]
-    cells, bares = [], []
-    for _ in range(repeats):
-        cells.append(_process_s(cell))
-        bares.append(_process_s(bare))
-    return _median_ms(cells), _median_ms(bares)
-
-
-def _request_ms(client, request) -> float:
+def _request_s(client, request) -> float:
     start = time.perf_counter()
     client.request(request)
     return time.perf_counter() - start
 
 
+def _ratio(numerators: list[float], denominators: list[float]) -> float:
+    """The median of the per-alternation ratios."""
+    return round(statistics.median(
+        [num / den for num, den in zip(numerators, denominators)]), 2)
+
+
 def run_benchmark(events: int, repeats: int) -> dict:
-    cold_process, interpreter = _cold_process_ms(events, max(2, repeats // 2))
+    cell = [sys.executable, "-m", "repro", "simulate",
+            "--benchmark", WORKLOAD, "--events", str(events), "--json"]
+    bare = [sys.executable, "-c", "pass"]
+    samples = {tier: [] for tier in ("cold_process", "interpreter",
+                                     "warm_service", "replay_service",
+                                     "lru_hit")}
 
     with serve_background() as handle:
         with handle.client(tenant="loadgen") as client:
             base = dict(workload=WORKLOAD, config=CONFIG, events=events)
-            cold_service = _median_ms(
-                [_request_ms(client, schema.SimulateRequest(**base))])
-            # Perturbed warmup: a fresh result key every time, served by
-            # the pooled machine, the shared trace and its clock record.
-            warm = _median_ms([
-                _request_ms(client, schema.SimulateRequest(
-                    **base, warmup=0.25 + (i + 1) * 1e-3))
-                for i in range(repeats)
-            ])
-            # Perturbed overlap: a new timing point every time, so the
-            # clock runs over the shared lowering.
-            replay = _median_ms([
-                _request_ms(client, schema.SimulateRequest(
-                    **base, overlap=0.5 + (i + 1) * 1e-2))
-                for i in range(repeats)
-            ])
-            lru = _median_ms([
-                _request_ms(client, schema.SimulateRequest(**base))
-                for i in range(repeats)
-            ])
+            cold_service = _request_s(client, schema.SimulateRequest(**base))
+            # The cold request was its timing point's first replay; this
+            # one records the clock run, so every timed warm request is
+            # a clock-memo hit.
+            client.request(schema.SimulateRequest(**base, warmup=0.25 + 1e-4))
+            for i in range(repeats):
+                # One alternation: a fresh interpreter dispatching the
+                # cell, a bare one, then each service tier, so a slow
+                # spell of a shared host lands on both sides of a ratio.
+                samples["cold_process"].append(_process_s(cell))
+                samples["interpreter"].append(_process_s(bare))
+                # Untimed: the first request after the subprocesses pays
+                # for waking the idle server, which no tier should carry.
+                client.status()
+                # Perturbed warmup: a fresh result key, served by the
+                # pooled machine, the shared trace and its clock record.
+                samples["warm_service"].append(_request_s(
+                    client, schema.SimulateRequest(
+                        **base, warmup=0.25 + (i + 1) * 1e-3)))
+                # Perturbed overlap: a new timing point, so the clock
+                # runs over the shared lowering.
+                samples["replay_service"].append(_request_s(
+                    client, schema.SimulateRequest(
+                        **base, overlap=0.5 + (i + 1) * 1e-2)))
+                samples["lru_hit"].append(_request_s(
+                    client, schema.SimulateRequest(**base)))
             status = client.status()
 
     assert status["served"]["lru"] >= repeats, \
         "repeat requests were not LRU hits — tier attribution broke"
+    cold = samples["cold_process"]
     return {
         "meta": {
             "events": events,
@@ -136,23 +144,20 @@ def run_benchmark(events: int, repeats: int) -> dict:
             "repeats": repeats,
             "python": platform.python_version(),
             "note": "latencies are machine-specific; the ratios "
-                    "(cold-process dispatch vs resident-service tiers) "
-                    "are comparable across machines",
+                    "(cold-process dispatch vs resident-service tiers), "
+                    "each the median of per-alternation ratios, are "
+                    "comparable across machines",
         },
         "latency_ms": {
-            "interpreter": interpreter,
-            "cold_process": cold_process,
-            "cold_service": cold_service,
-            "warm_service": warm,
-            "replay_service": replay,
-            "lru_hit": lru,
+            "cold_service": round(cold_service * 1000.0, 3),
+            **{tier: _median_ms(times) for tier, times in samples.items()},
         },
         "ratios": {
-            "cold_process_over_warm": round(cold_process / warm, 2),
-            "cold_process_over_replay": round(cold_process / replay, 2),
-            "cold_process_over_lru": round(cold_process / lru, 2),
-            "warm_over_lru": round(warm / lru, 2),
-            "cold_process_over_interpreter": round(cold_process / interpreter, 2),
+            "cold_process_over_warm": _ratio(cold, samples["warm_service"]),
+            "cold_process_over_replay": _ratio(cold, samples["replay_service"]),
+            "cold_process_over_lru": _ratio(cold, samples["lru_hit"]),
+            "warm_over_lru": _ratio(samples["warm_service"], samples["lru_hit"]),
+            "cold_process_over_interpreter": _ratio(cold, samples["interpreter"]),
         },
     }
 

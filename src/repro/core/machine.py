@@ -27,7 +27,7 @@ from ..crypto.mac import make_mac
 from ..integrity.pageroot import PageRootDirectory
 from ..mem.dram import BlockMemory
 from ..mem.layout import BLOCK_SIZE, BLOCKS_PER_PAGE, PAGE_SIZE, block_address, round_to_blocks
-from ..schemes import encryption_scheme, integrity_scheme
+from .. import schemes  # a module: schemes imports core in turn
 from .config import MachineConfig
 from .counters import GlobalPageCounter
 from .encryption import AccessContext, NULL_CONTEXT
@@ -84,8 +84,8 @@ def plan_layout(config: MachineConfig):
     if data % PAGE_SIZE:
         raise ConfigurationError("data region must be a whole number of pages")
 
-    enc_scheme = encryption_scheme(config.encryption)
-    integ_scheme = integrity_scheme(config.integrity)
+    enc_scheme = schemes.encryption_scheme(config.encryption)
+    integ_scheme = schemes.integrity_scheme(config.integrity)
 
     counter_bytes = enc_scheme.counter_region_bytes(data)
     swap_pages = (config.swap_bytes or data) // PAGE_SIZE
@@ -145,8 +145,8 @@ class SecureMemorySystem:
         seed_audit=None,
     ):
         self.config = config or MachineConfig()
-        self.enc_scheme = encryption_scheme(self.config.encryption)
-        self.integ_scheme = integrity_scheme(self.config.integrity)
+        self.enc_scheme = schemes.encryption_scheme(self.config.encryption)
+        self.integ_scheme = schemes.integrity_scheme(self.config.integrity)
         self.layout, geometry = plan_layout(self.config)
         self.memory = BlockMemory(self.layout.total_bytes, name="physical")
         self.fast_crypto = fast_crypto

@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .. import fastpath
 from ..mem.layout import BLOCK_SIZE, CHUNKS_PER_BLOCK, block_in_page
 from .errors import SeedReuseError
+from .storage import counter_bytes_per_data_byte
 
 _SEED_MASK = (1 << 128) - 1
 assert CHUNKS_PER_BLOCK == 4  # AiseSeedScheme._compose spells out the chunk ids
@@ -78,6 +79,8 @@ class SeedScheme:
 
     __slots__ = ("_seed_memo",)
 
+    #: The encryption descriptor's registry key, whose counter region a
+    #: Table 1 storage cell reads.
     name = "abstract"
 
     #: Entries held in the per-scheme seed-tuple memo before a wholesale
@@ -145,7 +148,7 @@ class AiseSeedScheme(SeedScheme):
             name="AISE",
             ipc_support="Yes",
             latency_hiding="Good",
-            storage_overhead="Low (1.6%)",
+            storage_overhead=f"Low ({counter_bytes_per_data_byte(self.name):.1%})",
             other_issues="None",
             reencrypt_on_swap=False,
             supports_shared_memory=True,
@@ -167,9 +170,9 @@ class GlobalCounterSeedScheme(SeedScheme):
 
     @property
     def properties(self) -> SchemeProperties:
-        per_block = self.bits / 8 / BLOCK_SIZE
+        fraction = counter_bytes_per_data_byte(self.name)
         hiding = "Caching: Poor, Prediction: Difficult"
-        storage = f"High ({self.bits}-bit: {per_block:.1%})"
+        storage = f"High ({self.bits}-bit: {fraction:.1%})"
         issues = "None" if self.bits >= 64 else "Frequent whole-memory re-encryption"
         return SchemeProperties(
             name=f"Global Counter ({self.bits}-bit)",
@@ -268,7 +271,7 @@ class SplitCounterSeedScheme(SeedScheme):
             name="Split Counter (Phys Addr)",
             ipc_support="Yes",
             latency_hiding="Good",
-            storage_overhead="Low (1.6%)",
+            storage_overhead=f"Low ({counter_bytes_per_data_byte(self.name):.1%})",
             other_issues="Re-enc on page swap",
             reencrypt_on_swap=True,
             supports_shared_memory=True,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..mem.layout import BLOCK_SIZE, PAGE_SIZE
-from ..schemes import encryption_scheme
+from .. import schemes  # a module: schemes imports core in turn
 from .config import (
     INT_BMT,
     INT_BMT_LAZY,
@@ -80,7 +80,7 @@ def counter_bytes_per_data_byte(encryption: str) -> float:
     """In-memory counter storage per byte of protected data: the scheme
     descriptor's counter region for one page, the layout the machine
     reserves."""
-    return encryption_scheme(encryption).counter_region_bytes(PAGE_SIZE) / PAGE_SIZE
+    return schemes.encryption_scheme(encryption).counter_region_bytes(PAGE_SIZE) / PAGE_SIZE
 
 
 def tree_bytes(covered_bytes: float, mac_bytes: int) -> float:

@@ -132,7 +132,8 @@ class CompiledTrace:
     measured miss's obs emissions for a traced replay, and ``tail``, the
     deferred queue's end-of-run drain (see :func:`lower_sequential`).
     Immutable after it is built; the ``prog`` binding memo caches the
-    replay program per pair of bus transfer durations, and the clock
+    replay program (and :meth:`key_slots`, a clock view's per-key
+    tables) per pair of bus transfer durations, and the clock
     memo ``_clocks`` maps each timing point replayed to None, then, from
     its second replay on, to its recorded :class:`ClockRun`.
     ``miss_flags`` holds one byte per event, 1 for a miss.
@@ -193,6 +194,30 @@ class CompiledTrace:
                         for pattern in self.pattern_list]
         return [(pattern_durs[pattern], stall, ifetch)
                 for pattern, stall, ifetch in self.key_programs]
+
+    def key_slots(self, full_dur: int, frac_dur: int) -> tuple:
+        """Per key, its transfers after the demand fetch by slot, for a
+        clock view (memoized with ``prog``): ``(durations, lengths,
+        rank, stalled)``. ``durations`` is a ``(width, keys)`` array, a
+        key's column holding its transfer durations in bus order, then
+        zeros; ``lengths`` counts each key's transfers; ``rank`` is
+        ``width - lengths`` in the smallest unsigned dtype (sorting by
+        it orders keys longest first); ``stalled`` is the key's
+        counter-read stall flag.
+        """
+        key = ("slots", full_dur, frac_dur)
+        cached = self._prog_memo.get(key)
+        if cached is None:
+            programs = self.key_programs_for(full_dur, frac_dur)
+            lengths = np.array([len(durs) for durs, _, _ in programs])
+            width = int(lengths.max())
+            durations = np.zeros((width, len(programs)))
+            for column, (durs, _, _) in enumerate(programs):
+                durations[:len(durs), column] = durs
+            rank = (width - lengths).astype(np.min_scalar_type(width))
+            stalled = np.array([stall for _, stall, _ in programs], dtype=bool)
+            cached = self._prog_memo[key] = (durations, lengths, rank, stalled)
+        return cached
 
     def prog(self, full_dur: int, frac_dur: int) -> list:
         """The per-miss replay program: for each miss, its key's
@@ -815,35 +840,50 @@ class ClockRun:
             return first, measured_from, 0.0, 0.0
 
         _, mem_latency, aes_latency, _, _, _, uses_cc, serial_decrypt, _ = timing
-        programs = artifact.key_programs_for(full_dur, frac_dur)
-        width = max(len(durs) for durs, _, _ in programs)
-        by_position = np.zeros((width, len(programs)))  # key durations, by slot
-        for key, (durs, _, _) in enumerate(programs):
-            by_position[:len(durs), key] = durs
+        by_slot, key_lengths, key_rank, key_stalled = artifact.key_slots(
+            full_dur, frac_dur)
         keys = artifact.key_idx[first:]
-        lengths = np.array([len(durs) for durs, _, _ in programs])[keys]
-        stalled = np.array([stall for _, stall, _ in programs], dtype=bool)[keys]
+        lengths = key_lengths[keys]
         now = self.now[first:]
         start = self.start[first:]
 
         # Per miss, its demand fetch's wait and then one per further
-        # transfer, back to back on the bus, laid out in clock order. A
-        # pass per transfer slot advances the misses that have one.
-        base = np.cumsum(lengths + 1) - (lengths + 1)  # each miss's first wait
-        waits = np.empty(len(keys) + int(lengths.sum()))
+        # transfer, back to back on the bus, laid out in clock order.
+        # Ordered longest first, the misses with a transfer in slot s are
+        # a prefix of the order (its first ``reach[s]``), so a pass per
+        # slot advances a prefix of the bus-free times.
+        spans = lengths + 1
+        ends = np.cumsum(spans)
+        base = ends - spans  # each miss's first wait
+        waits = np.empty(int(ends[-1]))
         waits[base] = start - now
-        bf = start + full_dur
-        stall = ((bf + mem_latency) + aes_latency) - (start + mem_latency)
-        rows = np.arange(len(keys))
-        for slot, durations in enumerate(by_position):
-            more = lengths[rows] > slot
-            rows, bf = rows[more], bf[more]
-            waits[base[rows] + slot + 1] = bf - now[rows]
-            bf = bf + durations[keys[rows]]
+        width = len(by_slot)
+        at_most = np.cumsum(np.bincount(lengths, minlength=width + 1))
+        reach = (len(keys) - at_most[:width]).tolist()
+        order = np.argsort(key_rank[keys], kind="stable")[:reach[0] if reach else 0]
+        clock, at, moved = now[order], base[order] + 1, keys[order]
+        bf = start[order] + full_dur
+        for slot, (count, durations) in enumerate(zip(reach, by_slot)):
+            bf = bf[:count]
+            waits[at[:count] + slot] = bf - clock[:count]
+            bf = bf + durations[moved[:count]]
         queue = np.add.accumulate(waits)[-1]
-        unstalled = 0.0 if uses_cc or not serial_decrypt else float(aes_latency)
-        extra = np.where(stalled, np.where(stall > 0.0, stall, 0.0), unstalled)
-        exposed = np.add.accumulate(extra)[-1]
+
+        # Exposed cycles: a counter-read miss exposes the pad's wait past
+        # its data, if positive, and serialized decryption the AES
+        # latency on every other miss. The running sum never holds -0.0,
+        # so a zero term changes nothing: without serialized decryption
+        # the sum runs over the positive stalls alone.
+        stalled = key_stalled[keys]
+        fetch = start[stalled]
+        stall = (((fetch + full_dur) + mem_latency) + aes_latency) - (
+            fetch + mem_latency)
+        if uses_cc or not serial_decrypt:
+            extra = stall[stall > 0.0]
+        else:
+            extra = np.full(len(keys), float(aes_latency))
+            extra[stalled] = np.where(stall > 0.0, stall, 0.0)
+        exposed = np.add.accumulate(extra)[-1] if len(extra) else 0.0
         return first, measured_from, float(queue), float(exposed)
 
 

@@ -29,6 +29,10 @@ LINE_CLASSES = (DATA, CODE, COUNTER, MERKLE, MAC)
 LINE = {cls: ((False, cls), (True, cls)) for cls in LINE_CLASSES}
 DIRTY = {cls: lines[True] for cls, lines in LINE.items()}
 
+# The pending install of a cold cache (see ``SetAssociativeCache.
+# restore_state``): empty sets, built as fresh ones on first touch.
+_COLD = object()
+
 
 @dataclass(slots=True)
 class Eviction:
@@ -101,8 +105,10 @@ class SetAssociativeCache:
         self.num_lines = self.num_sets * assoc
         # Each set maps block_index -> a LINE value (dirty, line_class);
         # OrderedDict keeps LRU order with the most recently used entry last.
-        self._sets: list[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
-        self._pending = None  # a restore_state snapshot not yet built
+        # A cold cache is a pending install of empty sets (see
+        # ``restore_state``): ``_sets`` is built on first touch.
+        self._pending = _COLD  # a snapshot not yet built
+        self.__class__ = _PendingInstall
         self._class_lines: dict[str, int] = {}
         self._inserts_since_recount = 0
         self.stats = CacheStats()
@@ -181,7 +187,9 @@ class SetAssociativeCache:
         direct attribute read, and none of their code changes. A cold sweep
         that throws the machine away, or :meth:`clear` before the next
         run, never builds it, so ``sets`` must stay unchanged afterwards.
-        A second install replaces a pending one.
+        A second install replaces a pending one. A cold cache, just
+        constructed or cleared, is itself a pending install of empty
+        sets, so an install into it builds nothing either.
         """
         if len(sets) != self.num_sets:
             raise ValueError(
@@ -328,12 +336,17 @@ class SetAssociativeCache:
         where a pooled simulator must be indistinguishable from a fresh
         one — byte-identical results are the contract, so nothing the
         timing model reads may survive.
+
+        Like construction, it is O(1): the cold cache is a pending
+        install of empty sets (see :meth:`restore_state`), built on
+        first touch, and a pending snapshot is dropped unbuilt. Built
+        sets are let go, not emptied in place, so nothing may hold
+        ``_sets`` across a clear.
         """
         if self._pending is None:
-            for cache_set in self._sets:
-                cache_set.clear()
-        else:  # drop the pending install unbuilt
-            self._install([OrderedDict() for _ in range(self.num_sets)])
+            del self._sets
+            self.__class__ = _PendingInstall
+        self._pending = _COLD
         self._class_lines.clear()
         self._inserts_since_recount = 0
         self.stats = CacheStats()
@@ -367,7 +380,8 @@ class SetAssociativeCache:
 
 
 class _PendingInstall(SetAssociativeCache):
-    """A cache whose sets are a pending install (see ``restore_state``).
+    """A cache whose sets are a pending install (see ``restore_state``):
+    a recorded snapshot, or the empty sets of a cold cache.
 
     The hook that builds them lives on this subclass so that
     :class:`SetAssociativeCache` defines no ``__getattr__``: one there
@@ -380,7 +394,10 @@ class _PendingInstall(SetAssociativeCache):
         # Reached only when normal lookup fails: the unset ``_sets`` slot.
         if name != "_sets":
             raise AttributeError(name)
-        return self._install([OrderedDict(items) for items in self._pending])
+        pending = self._pending
+        if pending is _COLD:
+            return self._install([OrderedDict() for _ in range(self.num_sets)])
+        return self._install([OrderedDict(items) for items in pending])
 
     def __reduce_ex__(self, protocol):
         self._sets  # build: the cache pickles as a plain, built one

@@ -15,6 +15,9 @@ cheap, the shared state behind them is the point). A connection that
 sent ``subscribe`` additionally receives ``event`` envelopes — fleet
 progress records from *every* running job, tagged with job id and
 tenant so clients filter for their own — interleaved between responses.
+Events are best effort: a subscriber that falls ``_EVENT_BACKLOG``
+events behind loses the oldest of them (``status`` counts them in
+``events_dropped``); responses are never dropped.
 
 Serving a ``simulate`` cell walks the tiers cheapest-first, under
 single-flight so concurrent identical requests cost one computation:
@@ -46,6 +49,7 @@ import asyncio
 import itertools
 import os
 import time
+from collections import deque
 
 from ..api import SweepRun, _sweep_axes, schema
 from ..core.config import ConfigurationError, MachineConfig
@@ -89,6 +93,66 @@ def default_sim_slots() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
+# Progress events one connection may hold queued for a subscriber that
+# is not reading; past it, the oldest queued event is dropped.
+_EVENT_BACKLOG = 1024
+
+
+class _Outbox:
+    """A connection's outgoing envelopes, written in the order queued.
+
+    Progress events are best effort: with ``_EVENT_BACKLOG`` of them
+    queued, queueing another drops the oldest queued event. Responses
+    are never dropped, and a drop never reorders the rest, so a response
+    still follows every kept event of its job. One pump drains it
+    (``get``, then ``task_done`` once the envelope is written); ``join``
+    waits until everything queued was written or dropped.
+    """
+
+    def __init__(self):
+        self._items: deque = deque()  # (envelope, is_event), oldest first
+        self._events = 0  # queued events
+        self._unfinished = 0  # queued or being written
+        self._ready = asyncio.Event()
+        self._idle = asyncio.Event()
+        self._idle.set()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def put(self, envelope: schema.Envelope, event: bool = False) -> bool:
+        """Queue ``envelope``; True if an older event was dropped for it."""
+        dropped = event and self._events >= _EVENT_BACKLOG
+        if dropped:
+            oldest = next(index for index, (_, queued_event)
+                          in enumerate(self._items) if queued_event)
+            del self._items[oldest]
+            self._events -= 1
+            self._unfinished -= 1
+        self._items.append((envelope, event))
+        self._events += event
+        self._unfinished += 1
+        self._idle.clear()
+        self._ready.set()
+        return dropped
+
+    async def get(self) -> schema.Envelope:
+        while not self._items:
+            self._ready.clear()
+            await self._ready.wait()
+        envelope, event = self._items.popleft()
+        self._events -= event
+        return envelope
+
+    def task_done(self) -> None:
+        self._unfinished -= 1
+        if not self._unfinished:
+            self._idle.set()
+
+    async def join(self) -> None:
+        await self._idle.wait()
+
+
 class _Connection:
     """Per-connection state: tenant identity, subscription, outbox."""
 
@@ -96,10 +160,10 @@ class _Connection:
         self.writer = writer
         self.tenant = "anon"
         self.subscribed = False
-        self.outbox: asyncio.Queue = asyncio.Queue()
+        self.outbox = _Outbox()
 
     def send(self, envelope: schema.Envelope) -> None:
-        self.outbox.put_nowait(envelope)
+        self.outbox.put(envelope)
 
 
 class SweepService:
@@ -136,6 +200,7 @@ class SweepService:
         self.started = time.perf_counter()
         self.requests = 0
         self.errors = 0
+        self.events_dropped = 0  # progress events no subscriber read in time
         # simulate answers by tier; "pool" counts cells answered by a
         # grid sweep, whatever its worker count.
         self.served = {"lru": 0, "disk": 0, "warm": 0, "cold": 0, "pool": 0}
@@ -217,8 +282,10 @@ class SweepService:
     def _broadcast(self, job: int, tenant: str, record: dict) -> None:
         """Fan one progress record out to every subscribed connection."""
         for conn in list(self._connections):
-            if conn.subscribed:
-                conn.send(schema.event_envelope(record, job=job, tenant=tenant))
+            if conn.subscribed and conn.outbox.put(
+                    schema.event_envelope(record, job=job, tenant=tenant),
+                    event=True):
+                self.events_dropped += 1
 
     # -- request dispatch ----------------------------------------------------
 
@@ -275,22 +342,25 @@ class SweepService:
                     record = hit.to_dict()
                     self.lru.put(key, record)
                     return record, "disk", "cached"
+
+            def compute(sim) -> tuple[dict, str]:
+                # The whole computation is one worker hop.
+                trace = self.traces.get(workload, events)
+                result = sim.run(trace, label=label, warmup=warmup,
+                                 collect_metrics=metrics)
+                record = result.to_dict()
+                if self.disk is not None:
+                    self.disk.put(key, result)
+                return record, sim.engine_telemetry.last_engine or "reference"
+
             async with self._sim_gate:
                 reused_before = self.pool.reused
                 sim = self.pool.acquire(config, overlap)
                 warm = self.pool.reused > reused_before
                 try:
-                    trace = await asyncio.to_thread(self.traces.get, workload, events)
-                    result = await asyncio.to_thread(
-                        lambda: sim.run(trace, label=label, warmup=warmup,
-                                        collect_metrics=metrics)
-                    )
-                    engine = sim.engine_telemetry.last_engine or "reference"
+                    record, engine = await asyncio.to_thread(compute, sim)
                 finally:
                     self.pool.release(sim)
-            record = result.to_dict()
-            if self.disk is not None:
-                await asyncio.to_thread(self.disk.put, key, result)
             self.lru.put(key, record)
             return record, "warm" if warm else "cold", engine
 
@@ -417,6 +487,7 @@ class SweepService:
             "uptime_s": time.perf_counter() - self.started,
             "requests": self.requests,
             "errors": self.errors,
+            "events_dropped": self.events_dropped,
             "served": dict(self.served),
             "lru": self.lru.counts(),
             "pool": self.pool.counts(),

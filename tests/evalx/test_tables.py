@@ -4,6 +4,21 @@ import pytest
 
 from repro.evalx.report import render_table
 from repro.evalx.tables import PAPER_TABLE2, table1, table2
+from repro.schemes import encryption_scheme, register_encryption
+from repro.schemes.encryption import AiseScheme, GlobalCounterScheme
+
+
+class _WideGlobal64(GlobalCounterScheme):
+    """global64 with 16-byte stamps: twice its counter region."""
+
+    stamp_bytes = 16
+
+
+class _WideAise(AiseScheme):
+    """AISE with a two-block counter run per page."""
+
+    def counter_region_bytes(self, data_bytes: int) -> int:
+        return 2 * super().counter_region_bytes(data_bytes)
 
 
 class TestTable1:
@@ -26,6 +41,27 @@ class TestTable1:
         assert rows["Counter (Virt Addr)"]["IPC Support"] == "No shared-memory IPC"
         assert "Re-enc on page swap" in rows["Counter (Phys Addr)"]["Other Issues"]
         assert "12.5%" in rows["Global Counter (64-bit)"]["Storage Overhead"]
+        assert rows["AISE"]["Storage Overhead"] == "Low (1.6%)"
+
+    @pytest.mark.parametrize("mutant, row, cell", [
+        (_WideGlobal64, "Global Counter (64-bit)", "High (64-bit: 25.0%)"),
+        (_WideAise, "AISE", "Low (3.1%)"),
+    ])
+    def test_storage_cells_read_the_descriptor(self, mutant, row, cell):
+        """A registered descriptor with another counter region flips its
+        own row's storage cell and nothing else."""
+        before = table1().rows
+        original = encryption_scheme(mutant.key)
+        register_encryption(mutant(), replace=True)
+        try:
+            after = table1().rows
+        finally:
+            register_encryption(original, replace=True)
+        changed = [(b["Encryption Approach"], column, a[column])
+                   for b, a in zip(before, after) for column in b
+                   if a[column] != b[column]]
+        assert changed == [(row, "Storage Overhead", cell)]
+        assert table1().rows == before
 
 
 class TestTable2:

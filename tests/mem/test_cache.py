@@ -224,6 +224,15 @@ def cache_state(cache: SetAssociativeCache) -> tuple:
             list(cache._class_lines.items()), cache.stats)
 
 
+def built(cache: SetAssociativeCache) -> bool:
+    """Whether ``cache``'s sets exist, read without building them."""
+    try:
+        SetAssociativeCache._sets.__get__(cache)
+    except AttributeError:
+        return False
+    return True
+
+
 def snapshot_source() -> SetAssociativeCache:
     """A 4-set, 2-way cache holding dirty and clean lines of two classes,
     with a zero-count class tally left behind by an eviction."""
@@ -329,7 +338,7 @@ class TestDeferredInstall:
         cache.clear()
         assert cache.occupied_lines == 0
         assert sets.reads == 0
-        assert type(cache) is SetAssociativeCache
+        assert not built(cache)  # a pending install of empty sets
         fresh = SetAssociativeCache(4 * 2 * 64, assoc=2)
         assert cache_state(cache) == cache_state(fresh)
 
@@ -362,3 +371,74 @@ class TestDeferredInstall:
         assert cache_state(clone)[:2] == cache_state(cache)[:2]
         assert clone.insert(12 * 64, DATA) == cache.insert(12 * 64, DATA)
         assert cache_state(clone)[:2] == cache_state(cache)[:2]
+
+
+def cold_cache(route: str) -> SetAssociativeCache:
+    """An empty 4-set, 2-way cache: just constructed, or cleared after
+    its sets were built or while an install was pending."""
+    if route == "fresh":
+        return SetAssociativeCache(4 * 2 * 64, assoc=2)
+    cache = snapshot_source() if route == "cleared_built" else installed(
+        "mappings", built=False)
+    cache.clear()
+    return cache
+
+
+def built_empty() -> SetAssociativeCache:
+    cache = SetAssociativeCache(4 * 2 * 64, assoc=2)
+    cache._sets  # the first touch builds the empty sets
+    return cache
+
+
+COLD_ROUTES = ["fresh", "cleared_built", "cleared_pending"]
+# The engine probe moves a line it expects present; a raw ``_sets`` read
+# of a cold cache is the first touch of test_builds_no_set_until_first_touch.
+COLD_OPERATIONS = {name: op for name, op in DEFERRED_OPERATIONS.items()
+                   if name != "engine_sets"}
+
+
+class TestColdCache:
+    """A cold cache is a pending install of empty sets: construction and
+    ``clear`` build no set, and the first touch builds them."""
+
+    @pytest.mark.parametrize("route", COLD_ROUTES)
+    def test_builds_no_set_until_first_touch(self, route):
+        cache = cold_cache(route)
+        assert not built(cache)
+        assert cache.occupied_lines == 0 and cache.lines_of_class(DATA) == 0
+        cache.tick_occupancy()  # reads only the tallies
+        assert not built(cache)
+        assert not cache.contains(0)  # a first touch
+        assert built(cache) and type(cache) is SetAssociativeCache
+        assert cache_state(cache)[:2] == ([()] * 4, [])
+
+    @pytest.mark.parametrize("route", COLD_ROUTES)
+    @pytest.mark.parametrize("operation", sorted(COLD_OPERATIONS))
+    def test_behaves_as_built_empty_sets(self, operation, route):
+        op = COLD_OPERATIONS[operation]
+        cache, expected = cold_cache(route), built_empty()
+        assert op(cache) == op(expected)
+        assert cache_state(cache) == cache_state(expected)
+
+    def test_clear_lets_built_sets_go(self):
+        cache = snapshot_source()
+        old_sets = cache._sets
+        before = [tuple(s.items()) for s in old_sets]
+        cache.clear()
+        cache.insert(0, DATA)
+        assert cache._sets is not old_sets
+        assert [tuple(s.items()) for s in old_sets] == before
+
+    def test_install_replaces_the_cold_sets_unbuilt(self):
+        source = snapshot_source()
+        sets = Tripwire(source._sets)
+        cache = cold_cache("cleared_built")
+        cache.restore_state(sets, source._class_lines)
+        assert not built(cache) and sets.reads == 0
+        assert cache_state(cache)[:2] == cache_state(source)[:2]
+
+    @pytest.mark.parametrize("route", COLD_ROUTES)
+    def test_pickle_round_trips(self, route):
+        clone = pickle.loads(pickle.dumps(cold_cache(route)))
+        assert type(clone) is SetAssociativeCache
+        assert cache_state(clone) == cache_state(built_empty())

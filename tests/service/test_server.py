@@ -21,7 +21,8 @@ from repro.core import sanitizer
 from repro.fastpath import EngineTelemetry
 from repro.obs.fleet import MemoryProgressSink, validate_progress_records
 from repro.service import ServiceError, serve_background
-from repro.service.server import _READ_LIMIT, _read_line
+from repro.service.server import (_READ_LIMIT, SweepService, _Connection,
+                                  _read_line)
 
 EVENTS = 2_000
 
@@ -344,3 +345,66 @@ class TestClockMemo:
             cold = api.simulate("twolf", "aise+bmt", events=EVENTS,
                                 warmup=warmup, label="aise+bmt")
             assert body["result"] == cold.to_dict()
+
+
+class _StalledWriter:
+    """A stream writer whose peer never reads: ``drain`` blocks until
+    ``reading`` is set; written lines are kept."""
+
+    def __init__(self):
+        self.lines = []
+        self.reading = asyncio.Event()
+
+    def write(self, data: bytes) -> None:
+        self.lines.append(data)
+
+    async def drain(self) -> None:
+        await self.reading.wait()
+
+
+class TestSlowSubscriber:
+    def test_a_stalled_subscriber_stays_bounded_and_gets_its_response(self):
+        """A subscriber that never reads during a sweep: its outbox keeps
+        at most the event backlog (the oldest events dropped and
+        counted), and once it reads it receives the newest events in
+        order, then the sweep's response."""
+        backlog = 3
+
+        async def scenario():
+            service = SweepService()
+            conn = _Connection(_StalledWriter())
+            conn.subscribed = True
+            service._connections.add(conn)
+            pump = asyncio.ensure_future(service._pump_outbox(conn))
+            sizes, sent = [], []
+            put = conn.outbox.put
+
+            def watched(envelope, event=False):
+                dropped = put(envelope, event)
+                sizes.append(len(conn.outbox))
+                if event:
+                    sent.append(schema.wire_encode(envelope))
+                return dropped
+
+            with mock.patch.object(conn.outbox, "put", watched):
+                response = await service._dispatch(conn, schema.SweepRequest(
+                    configs=["base", "aise"], benchmarks=["gzip", "eon"],
+                    events=EVENTS, workers=1))
+                conn.send(response)
+            status = service.status()
+            conn.writer.reading.set()
+            await conn.outbox.join()
+            pump.cancel()
+            return sizes, sent, status, [line.decode().rstrip("\n")
+                                         for line in conn.writer.lines]
+
+        with mock.patch("repro.service.server._EVENT_BACKLOG", backlog):
+            sizes, sent, status, written = asyncio.run(scenario())
+        *events, response = written
+        assert max(sizes) <= backlog + 1  # the events, then the response
+        assert schema.wire_decode(response).kind == "sweep"
+        # The pump took the first event before the writer stalled; of
+        # the rest, the newest ``backlog`` are kept, in order.
+        assert events == [sent[0], *sent[-backlog:]]
+        assert status["events_dropped"] == len(sent) - 1 - backlog > 0
+        assert json.loads(sent[-1])["body"]["record"]["event"] == "sweep_end"

@@ -37,12 +37,14 @@ from repro.core import IntegrityError, sanitizer
 from repro.core.config import PRESET_NAMES, CacheConfig, MachineConfig
 from repro.core.errors import ConfigurationError
 from repro.fastpath import compiled, walk
+from repro.mem.cache import SetAssociativeCache
 from repro.mem.layout import BLOCK_SIZE
 from repro.sim.simulator import _OCCUPANCY_SAMPLE_PERIOD, TimingSimulator
 from repro.sim.trace import Trace
 from repro.workloads.spec2k import spec_trace
 from repro.workloads.synthetic import WorkloadProfile, generate_trace
 from tests.conftest import make_machine
+from tests.mem.test_cache import built, cache_state
 from tests.sim import clock_oracle
 
 KB = 1024
@@ -212,14 +214,17 @@ class TestDemandLoop:
         sim = TimingSimulator(MachineConfig.preset(preset, **_SMALL))
         l2 = sim.l2
         checked = []
-        original = type(l2)._sanitize_insert
+        original = SetAssociativeCache._sanitize_insert
 
         def counting(cache, cache_set):
             if cache is l2:
                 checked.append(len(cache_set))
             return original(cache, cache_set)
 
-        with mock.patch.object(type(l2), "_sanitize_insert", counting), \
+        # Patched on the class, not ``type(l2)``: a cold cache is a
+        # pending install until the walk's first touch builds it.
+        with mock.patch.object(SetAssociativeCache, "_sanitize_insert",
+                               counting), \
                 sanitizer.sanitized():
             result = sim.run(random_trace(events=3000, seed=23), warmup=0.0)
         assert sim.engine_telemetry.last_reason == "sanitizer_armed"
@@ -654,8 +659,8 @@ class TestDifferential:
 # Clock-memo cells: the staged and sequential routes, serial decrypt
 # (``direct``) and precise verification's path-dependent retire step.
 _CLOCK_CELLS = {
-    **{name: (name, {}) for name in ("base", "aise", "aise+bmt", "direct",
-                                     "direct+mt", "global64+mt")},
+    **{name: (name, {}) for name in ("base", "aise", "aise+bmt", "aise+mt",
+                                     "direct", "direct+mt", "global64+mt")},
     "aise+bmt/precise": ("aise+bmt", {"precise_verification": True}),
 }
 _WARMUPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -697,6 +702,29 @@ class TestClockMemo:
         assert (telemetry.clock_records, telemetry.clock_hits) == (1, 1)
         assert got[1:] == want
 
+    @pytest.mark.parametrize("caches", ["default", "small"])
+    @pytest.mark.parametrize("preset", ["aise+mt", "global64+mt", "aise+bmt"])
+    def test_wide_keys_at_the_warmup_edges(self, preset, caches):
+        """Lowerings whose widest key has 8 or more transfers after its
+        demand fetch (the view's slots): a hit at warmup 0.0, 1.0 and
+        between equals a fresh simulator on a fresh trace."""
+        config = MachineConfig.preset(preset, **_CACHES[caches])
+        trace = random_trace(events=2500, seed=7)
+        sim = TimingSimulator(config)
+        warmups = (0.0, 0.37, 1.0)
+        with fastpath.forced(True):
+            for warmup in (0.25, 0.25, *warmups):  # noted, recorded, hits
+                got = as_bytes(sim.run(trace, warmup=warmup))
+                sim.reset_cold()
+                if warmup in warmups:
+                    assert got == as_bytes(TimingSimulator(config).run(
+                        pickle.loads(pickle.dumps(trace)), warmup=warmup))
+        artifact, = trace.__dict__["_compiled"].values()
+        by_slot, *_ = artifact.key_slots(
+            sim.bus.duration(1.0), sim.bus.duration(sim._mac_bytes / BLOCK_SIZE))
+        assert len(by_slot) >= 8
+        assert sim.engine_telemetry.clock_hits == len(warmups)
+
     def test_a_timing_point_records_on_its_second_replay(self):
         """A point's first replay is only noted, its second records and a
         later one hits; the memo keeps two points, oldest out."""
@@ -728,6 +756,83 @@ class TestClockMemo:
         assert sim.engine_telemetry.compiled == 3
         assert (sim.engine_telemetry.clock_records,
                 sim.engine_telemetry.clock_hits) == (0, 0)
+
+
+def _caches(sim) -> list:
+    return [cache for cache in (sim.l2, sim.counter_cache, sim.node_cache)
+            if cache is not None]
+
+
+def _memo_hit(sim, trace):
+    """A point's first replay, its record, then a hit."""
+    with fastpath.forced(True):
+        for warmup in (0.25, 0.3, 0.35):
+            sim.reset_cold()
+            sim.run(trace, warmup=warmup)
+    assert sim.engine_telemetry.clock_hits == 1
+
+
+def _live(sim, trace):
+    with fastpath.forced(False):
+        sim.run(trace)
+
+
+def _armed(sim, trace):
+    with sanitizer.sanitized(spot_check_interval=1), fastpath.forced(True):
+        sim.run(trace)
+    assert sim.engine_telemetry.last_reason == "sanitizer_armed"
+
+
+def _pickled(sim, trace):
+    """A replay, its pending installs then built by pickling the caches."""
+    with fastpath.forced(True):
+        sim.run(trace)
+    for cache in _caches(sim):
+        clone = pickle.loads(pickle.dumps(cache))
+        assert built(cache) and cache_state(clone)[:2] == cache_state(cache)[:2]
+
+
+# What a machine ran before ``reset_cold``; each leaves its caches
+# touched a different way (a replay's pending install, a live walk, the
+# armed sanitizer's recount, a pickle).
+_BEFORE_RESET = {"memo_hit": _memo_hit, "live": _live, "armed": _armed,
+                 "pickle": _pickled}
+
+
+class TestColdCaches:
+    """A cold machine's caches are pending installs of empty sets: built
+    on first touch, never by construction or ``reset_cold``."""
+
+    @pytest.mark.parametrize("preset", ["aise+bmt", "global64+mt"])
+    def test_construction_and_reset_build_no_set(self, preset):
+        config = MachineConfig.preset(preset, **_CACHES["small+nodes"])
+        sim = TimingSimulator(config)
+        assert not any(built(cache) for cache in _caches(sim))
+        _live(sim, random_trace(events=1500, seed=5))
+        assert all(built(cache) for cache in _caches(sim))
+        sim.reset_cold()
+        assert not any(built(cache) for cache in _caches(sim))
+        assert all(cache.occupied_lines == 0 for cache in _caches(sim))
+
+    @pytest.mark.parametrize("gate", [True, False], ids=["memoized", "live"])
+    @pytest.mark.parametrize("before", sorted(_BEFORE_RESET))
+    @pytest.mark.parametrize("preset", ["aise+bmt", "global64+mt"])
+    def test_reset_machine_runs_as_a_fresh_one(self, preset, before, gate):
+        """Whatever ran before the reset, the next run, memoized or live,
+        equals a fresh simulator's and leaves the same cache contents."""
+        config = MachineConfig.preset(preset, **_CACHES["small+nodes"])
+        trace = random_trace(events=2500, seed=31)
+        sim, fresh = TimingSimulator(config), TimingSimulator(config)
+        _BEFORE_RESET[before](sim, trace)
+        sim.reset_cold()
+        assert not any(built(cache) for cache in _caches(sim))
+        with fastpath.forced(gate):
+            got = sim.run(trace, warmup=0.2, collect_metrics=True)
+            want = fresh.run(pickle.loads(pickle.dumps(trace)), warmup=0.2,
+                             collect_metrics=True)
+        assert as_bytes(got) == as_bytes(want)
+        assert [cache_state(cache)[:2] for cache in _caches(sim)] \
+            == [cache_state(cache)[:2] for cache in _caches(fresh)]
 
 
 class TestSecurityPath:

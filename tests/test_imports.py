@@ -108,3 +108,14 @@ def test_the_memory_package_serves_bus_and_cache_on_first_use():
               "assert mem.MemoryBus.__module__ == 'repro.mem.bus'\n"
               "assert mem.SetAssociativeCache.__module__ == 'repro.mem.cache'\n"
               "exec('from repro.mem import *')\n")
+
+
+@pytest.mark.parametrize("entry", ["repro.schemes", "repro.core.storage"])
+def test_the_scheme_registry_imports_first(entry):
+    """The registry imports ``repro.core``, whose machine and storage
+    model read the registry back: each must work as a fresh
+    interpreter's first import."""
+    modules = loaded_by(
+        f"import {entry}\nfrom repro.schemes import encryption_scheme\n"
+        "assert encryption_scheme('aise').uses_counter_cache\n")
+    assert "repro.core.machine" in modules
